@@ -147,9 +147,11 @@ type Store = store.Store
 type StoreStats = store.Stats
 
 // OpenStore opens (creating if needed) a persistent result store rooted at
-// dir. Every record is validated up front: truncated or corrupt records are
-// skipped and counted, never fatal, so a store that survived a crash or a
-// bad disk still serves its intact results. Pass the result to WithStore.
+// dir. Every record's envelope (length and checksum) is checked up front:
+// truncated or corrupt records are skipped and counted, never fatal, so a
+// store that survived a crash or a bad disk still serves its intact
+// results. A record's payload is decoded and validated when it is read; one
+// that fails reads as a miss. Pass the result to WithStore.
 func OpenStore(dir string) (*Store, error) { return store.Open(dir) }
 
 // GPU describes the simulated device: compute cost, memory hierarchy

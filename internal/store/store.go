@@ -14,10 +14,13 @@
 //     config once and one rename winning, which is correct (results are
 //     deterministic functions of the key).
 //   - Each record carries a fixed envelope — magic, payload length, CRC32 —
-//     ahead of a versioned JSON payload. Open validates every record and
-//     skips (never fails on) anything truncated, corrupt, or from a
-//     different format version: a crashed writer or a bad disk costs one
-//     record, not the store.
+//     ahead of a versioned gob payload. Open checks only the envelopes: it
+//     counts every record whose length and checksum hold and skips (never
+//     fails on) anything truncated, corrupt, or from a different envelope
+//     version. Get decodes the payload once, when it is read, and checks the
+//     envelope again plus the payload's version, key and result; a record
+//     failing there reads as a miss. A crashed writer or a bad disk costs
+//     one record, not the store.
 //
 // The store persists only results that are pure functions of the key:
 // configurations carrying a Custom policy are never written (a different
@@ -27,7 +30,9 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -38,10 +43,11 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
+	"weak"
 
 	"crypto/sha256"
 
@@ -53,7 +59,7 @@ const (
 	// magic identifies a vDNN store record, version baked into the string:
 	// bumping the on-disk envelope means a new magic, and old files are
 	// skipped as corrupt rather than misread.
-	magic = "vDNNsto1"
+	magic = "vDNNsto2"
 
 	// recordVersion is the payload schema version inside the envelope.
 	recordVersion = 1
@@ -62,32 +68,29 @@ const (
 	// with any other sha256 use, and bumping it invalidates all keys.
 	keyDomain = "vdnn-store-key-v1\n"
 
-	// maxPayload bounds a record's JSON payload; anything claiming more is
-	// corrupt by definition (a full CaptureSchedule result is ~single-digit
-	// MB).
+	// maxPayload bounds a record's gob payload; anything claiming more is
+	// corrupt by definition (a figures-suite record is tens of KB, and a
+	// full CaptureSchedule result stays far below the bound).
 	maxPayload = 64 << 20
 
 	headerSize = len(magic) + 4 + 4 // magic + payload length + CRC32
 )
 
-// record is the versioned JSON payload of one store file. Network, Batch
-// and Policy duplicate information already hashed into the key; they make
-// records self-describing for offline inspection (jq over the store dir).
+// record is the versioned gob payload of one store file. Each payload is
+// encoded by its own gob.Encoder, so it carries its type descriptions and
+// decodes on its own.
 type record struct {
-	Version   int          `json:"version"`
-	Key       string       `json:"key"`
-	Network   string       `json:"network"`
-	Batch     int          `json:"batch"`
-	Policy    string       `json:"policy"`
-	SavedUnix int64        `json:"saved_unix"`
-	Result    *core.Result `json:"result"`
+	Version int
+	Key     string
+	Result  *core.Result
 }
 
 // Stats is a point-in-time snapshot of store counters.
 type Stats struct {
-	// Records is the number of valid records: counted at Open, incremented
-	// by local writes (a second replica's writes are not observed until
-	// reopen).
+	// Records is the number of records with a valid envelope: counted at
+	// Open, incremented by local writes (a second replica's writes are not
+	// observed until reopen). A record whose payload then fails to decode
+	// is counted here and reads as a miss.
 	Records int64 `json:"records"`
 	// Hits and Misses count read-through lookups.
 	Hits   int64 `json:"hits"`
@@ -97,8 +100,8 @@ type Stats struct {
 	// served from memory).
 	Writes      int64 `json:"writes"`
 	WriteErrors int64 `json:"write_errors"`
-	// CorruptSkipped counts records skipped for failing validation, at Open
-	// or during reads.
+	// CorruptSkipped counts records skipped for failing validation: the
+	// envelope at Open, the envelope and payload during reads.
 	CorruptSkipped int64 `json:"corrupt_skipped"`
 }
 
@@ -129,10 +132,11 @@ func WithLogger(l *slog.Logger) Option {
 	}
 }
 
-// Open opens (creating if needed) the store rooted at dir and validates
-// every record in it. Invalid records — truncated, bad checksum, wrong
-// version — are counted, logged and skipped; they are never fatal and never
-// served.
+// Open opens (creating if needed) the store rooted at dir and checks the
+// envelope of every record in it. Records with an invalid envelope —
+// truncated, bad checksum, another envelope version — are counted, logged
+// and skipped; they are never fatal. Payloads are decoded only by Get, which
+// never serves an invalid one.
 func Open(dir string, opts ...Option) (*Store, error) {
 	if dir == "" {
 		return nil, errors.New("store: empty directory")
@@ -152,9 +156,7 @@ func Open(dir string, opts ...Option) (*Store, error) {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".rec") {
 			continue
 		}
-		path := filepath.Join(dir, e.Name())
-		key := strings.TrimSuffix(e.Name(), ".rec")
-		if _, err := s.readRecord(path, key); err != nil {
+		if _, err := readPayload(filepath.Join(dir, e.Name())); err != nil {
 			s.corrupt.Add(1)
 			s.log.Warn("store: skipping invalid record", "file", e.Name(), "err", err)
 			continue
@@ -185,8 +187,23 @@ func (s *Store) Stats() Stats {
 
 // fingerprints memoizes the structural fingerprint per *dnn.Network.
 // Networks are immutable once built and the simulator's network cache hands
-// out shared pointers, so identity is a sound memo key.
-var fingerprints sync.Map // *dnn.Network -> string
+// out shared pointers, so identity is a sound memo key. The memo holds each
+// network weakly, and a cleanup deletes its entry once the network is
+// collected, so the memo never keeps a dropped network alive.
+var fingerprints sync.Map // weak.Pointer[dnn.Network] -> string
+
+// networkFingerprint returns the memoized fingerprint of net.
+func networkFingerprint(net *dnn.Network) string {
+	wp := weak.Make(net)
+	if fp, ok := fingerprints.Load(wp); ok {
+		return fp.(string)
+	}
+	fp, loaded := fingerprints.LoadOrStore(wp, fingerprint(net))
+	if !loaded {
+		runtime.AddCleanup(net, func(wp weak.Pointer[dnn.Network]) { fingerprints.Delete(wp) }, wp)
+	}
+	return fp.(string)
+}
 
 // Key returns the store key for simulating net under cfg, or ok=false if
 // the configuration cannot be addressed persistently (custom policies: a
@@ -198,17 +215,13 @@ func Key(net *dnn.Network, cfg core.Config) (string, bool) {
 	if cfg.Custom != nil {
 		return "", false
 	}
-	fp, ok := fingerprints.Load(net)
-	if !ok {
-		fp, _ = fingerprints.LoadOrStore(net, fingerprint(net))
-	}
 	cfgJSON, err := json.Marshal(cfg.WithDefaults())
 	if err != nil {
 		return "", false
 	}
 	h := sha256.New()
 	io.WriteString(h, keyDomain)
-	io.WriteString(h, fp.(string))
+	io.WriteString(h, networkFingerprint(net))
 	h.Write([]byte{0})
 	h.Write(cfgJSON)
 	return hex.EncodeToString(h.Sum(nil)), true
@@ -261,9 +274,34 @@ func (s *Store) Get(key string) (*core.Result, bool) {
 	return rec.Result, true
 }
 
-// readRecord reads and fully validates one record file. wantKey guards
-// against renamed/copied files serving the wrong result.
+// readRecord reads one record file, checks its envelope, decodes its
+// payload and validates the result. wantKey guards against renamed/copied
+// files serving the wrong result.
 func (s *Store) readRecord(path, wantKey string) (*record, error) {
+	payload, err := readPayload(path)
+	if err != nil {
+		return nil, err
+	}
+	var rec record
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&rec); err != nil {
+		return nil, fmt.Errorf("payload: %w", err)
+	}
+	if rec.Version != recordVersion {
+		return nil, fmt.Errorf("record version %d, want %d", rec.Version, recordVersion)
+	}
+	if rec.Key != wantKey {
+		return nil, fmt.Errorf("key mismatch: record %.16s... under file %.16s...", rec.Key, wantKey)
+	}
+	if rec.Result == nil {
+		return nil, errors.New("record without result")
+	}
+	return &rec, nil
+}
+
+// readPayload reads one record file and returns its payload once the
+// envelope holds: magic, a plausible length, the full payload and its
+// CRC32.
+func readPayload(path string) ([]byte, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -289,20 +327,7 @@ func (s *Store) readRecord(path, wantKey string) (*record, error) {
 	if got := crc32.ChecksumIEEE(payload); got != sum {
 		return nil, fmt.Errorf("checksum mismatch: %08x != %08x", got, sum)
 	}
-	var rec record
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return nil, fmt.Errorf("payload: %w", err)
-	}
-	if rec.Version != recordVersion {
-		return nil, fmt.Errorf("record version %d, want %d", rec.Version, recordVersion)
-	}
-	if wantKey != "" && rec.Key != wantKey {
-		return nil, fmt.Errorf("key mismatch: record %.16s... under file %.16s...", rec.Key, wantKey)
-	}
-	if rec.Result == nil {
-		return nil, errors.New("record without result")
-	}
-	return &rec, nil
+	return payload, nil
 }
 
 // --- write path -------------------------------------------------------------
@@ -315,16 +340,7 @@ func (s *Store) Save(net *dnn.Network, cfg core.Config, res *core.Result) {
 	if !ok || res == nil {
 		return
 	}
-	rec := record{
-		Version:   recordVersion,
-		Key:       key,
-		Network:   net.Name,
-		Batch:     net.Batch,
-		Policy:    res.PolicyName,
-		SavedUnix: time.Now().Unix(),
-		Result:    res,
-	}
-	if err := s.put(key, rec); err != nil {
+	if err := s.put(key, record{Version: recordVersion, Key: key, Result: res}); err != nil {
 		s.writeErrors.Add(1)
 		s.log.Warn("store: write failed", "key", key, "err", err)
 	}
@@ -334,10 +350,11 @@ func (s *Store) Save(net *dnn.Network, cfg core.Config, res *core.Result) {
 // then rename. Concurrent writers (other goroutines or other processes) are
 // safe; last rename wins with an identical, complete record.
 func (s *Store) put(key string, rec record) error {
-	payload, err := json.Marshal(rec)
-	if err != nil {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(rec); err != nil {
 		return err
 	}
+	payload := buf.Bytes()
 	hdr := make([]byte, headerSize)
 	copy(hdr, magic)
 	binary.LittleEndian.PutUint32(hdr[len(magic):], uint32(len(payload)))

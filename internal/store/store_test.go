@@ -1,12 +1,17 @@
 package store
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
+	"weak"
 
 	"vdnn/internal/core"
 	"vdnn/internal/dnn"
@@ -199,7 +204,7 @@ func TestBitFlipDetected(t *testing.T) {
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
-	b[len(b)-5] ^= 0x40 // flip a bit inside the JSON payload
+	b[len(b)-5] ^= 0x40 // flip a bit inside the gob payload
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatalf("write: %v", err)
 	}
@@ -277,5 +282,67 @@ func TestConcurrentSaveLoad(t *testing.T) {
 	}
 	if st := s2.Stats(); st.Records != 4 || st.CorruptSkipped != 0 {
 		t.Errorf("after concurrent writes: %+v, want 4 clean records", st)
+	}
+}
+
+// TestUndecodablePayloadCountedThenMissed pins the split between Open-time
+// and read-time validation: a record whose envelope holds (magic, length,
+// CRC32) but whose payload does not decode counts as a record at Open, and
+// Get reads it as a miss and counts it as corrupt.
+func TestUndecodablePayloadCountedThenMissed(t *testing.T) {
+	dir := t.TempDir()
+	payload := []byte("an envelope-valid payload that is not a gob record")
+	hdr := make([]byte, headerSize)
+	copy(hdr, magic)
+	binary.LittleEndian.PutUint32(hdr[len(magic):], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[len(magic)+4:], crc32.ChecksumIEEE(payload))
+	key := strings.Repeat("cd", 32)
+	if err := os.WriteFile(filepath.Join(dir, key+".rec"), append(hdr, payload...), 0o644); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	if st := s.Stats(); st.Records != 1 || st.CorruptSkipped != 0 {
+		t.Fatalf("after Open: %+v, want 1 record / 0 skipped", st)
+	}
+	if res, ok := s.Get(key); ok || res != nil {
+		t.Fatalf("undecodable record served: %+v, %v", res, ok)
+	}
+	if st := s.Stats(); st.Misses != 1 || st.CorruptSkipped != 1 {
+		t.Errorf("after Get: %+v, want 1 miss / 1 corrupt", st)
+	}
+}
+
+// TestFingerprintMemoReleasesNetwork checks that the fingerprint memo does
+// not pin the networks it has keyed: once the last reference to a network
+// is gone, the collector's cleanup removes its memo entry.
+func TestFingerprintMemoReleasesNetwork(t *testing.T) {
+	wp := func() weak.Pointer[dnn.Network] {
+		net := networks.AlexNet(32)
+		if _, ok := Key(net, core.Config{Spec: gpu.TitanX(), Policy: core.VDNNAll}); !ok {
+			t.Fatalf("Key not ok for a plain config")
+		}
+		wp := weak.Make(net)
+		if _, ok := fingerprints.Load(wp); !ok {
+			t.Fatalf("Key did not memoize the fingerprint")
+		}
+		return wp
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		runtime.GC()
+		if _, ok := fingerprints.Load(wp); !ok {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("fingerprint memo still holds a dropped network")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if wp.Value() != nil {
+		t.Errorf("network still reachable after its memo entry was cleaned up")
 	}
 }

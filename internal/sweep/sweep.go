@@ -105,7 +105,8 @@ func structureKey(k key) key {
 // reference is dropped the computation's own context is canceled, so work
 // nobody is waiting for stops at the next layer boundary instead of burning
 // a full simulation. One surviving waiter keeps the computation alive for
-// everyone.
+// everyone. topLevel marks an entry claimed by a top-level request, the only
+// kind whose abort counts toward Stats.Canceled.
 type entry struct {
 	done      chan struct{}
 	res       *core.Result
@@ -113,6 +114,7 @@ type entry struct {
 	structure *core.Structure
 	refs      int
 	cancel    context.CancelFunc
+	topLevel  bool
 }
 
 // Stats counts the engine's cache behavior (test, reporting and /v1/stats
@@ -142,8 +144,9 @@ type Stats struct {
 	// Evictions is the number of completed entries dropped to honor the
 	// cache bound.
 	Evictions int64 `json:"evictions"`
-	// Canceled is the number of computations aborted mid-flight because
-	// every caller waiting on them went away.
+	// Canceled is the number of top-level computations aborted mid-flight
+	// because every caller waiting on them went away. The nested structure
+	// and profiling entries such an abort releases are not counted.
 	Canceled int64 `json:"canceled"`
 }
 
@@ -427,7 +430,9 @@ func (e *Engine) dropRef(sh *shard, ent *entry) {
 		case <-ent.done:
 			last = false // already finished; nothing to abort
 		default:
-			e.stats.canceled.Add(1)
+			if ent.topLevel {
+				e.stats.canceled.Add(1)
+			}
 		}
 	}
 	sh.mu.Unlock()
@@ -540,7 +545,7 @@ func (e *Engine) resolve(ctx context.Context, net *dnn.Network, custom core.Offl
 		}
 
 		runCtx, runCancel := context.WithCancel(context.Background())
-		ent := &entry{done: make(chan struct{}), refs: 1, cancel: runCancel}
+		ent := &entry{done: make(chan struct{}), refs: 1, cancel: runCancel, topLevel: topLevel}
 		if !e.claim(sh, k, ent) {
 			// Another caller claimed the key while we waited for the slot;
 			// release it and coalesce onto theirs.

@@ -396,6 +396,13 @@ func BenchmarkCaseStudyMultiGPU(b *testing.B) {
 	}
 }
 
+func BenchmarkCaseStudyPipeline(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		s := freshSuite()
+		mustRows(b, s.CaseStudyPipeline(), 5)
+	}
+}
+
 func BenchmarkCaseStudyContention(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := freshSuite()

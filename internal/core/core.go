@@ -144,11 +144,12 @@ type Config struct {
 	// engines) normalizes compression away.
 	Compression compress.Config
 
-	// Devices is the number of data-parallel replicas (default 1). Each
-	// replica trains the full network on its own minibatch under the same
-	// policy and plan; the weight gradients are ring-all-reduced over the
-	// interconnect each step. Per-replica and aggregate metrics land in
-	// Result.Devices. Mutually exclusive with Stages > 1.
+	// Devices is the number of data-parallel replicas (default 1), stepped
+	// in lockstep on one shared timeline. Each replica trains the full
+	// network on its own minibatch under the same policy and plan; the
+	// weight gradients are ring-all-reduced over the interconnect each
+	// step. Devices == 1 is the plain single-device schedule. Per-replica
+	// metrics land in Result.Devices. Mutually exclusive with Stages > 1.
 	Devices int
 
 	// Stages splits the network's layer sequence into that many contiguous
@@ -156,7 +157,7 @@ type Config struct {
 	// Micro-batches stream through the stages GPipe-style (fill, steady
 	// state, drain); inter-stage activation and gradient transfers cross the
 	// Topology's interconnect, contending with each stage's own vDNN
-	// offload/prefetch traffic. Default 1: no pipelining, today's exact
+	// offload/prefetch traffic. Default 1: no pipelining, the plain
 	// single-device schedule. Mutually exclusive with Devices > 1 and with
 	// OffloadWeights (a stage's weights are live across every in-flight
 	// micro-batch).
@@ -548,8 +549,9 @@ func Run(net *dnn.Network, cfg Config) (*Result, error) {
 // RunContext is Run under a context: the simulation checks ctx at every
 // layer (and micro-batch) boundary and aborts with an error wrapping both
 // ErrCanceled and the context's cause. A nil ctx behaves like
-// context.Background(). Cancellation reaches every trainer — single-device,
-// data-parallel, pipeline — and the dynamic policy's profiling candidates.
+// context.Background(). Cancellation reaches every parallel shape — one
+// device, data-parallel replicas, pipeline stages — and the dynamic policy's
+// profiling candidates.
 func RunContext(ctx context.Context, net *dnn.Network, cfg Config) (*Result, error) {
 	return RunContextWith(ctx, net, cfg, nil)
 }

@@ -143,7 +143,7 @@ func (e *runtime) finishForward(p fwdPending) {
 	}
 }
 
-// finishForwardAsync is the pipeline trainer's end-of-layer step: the same
+// finishForwardAsync is the pipeline step's end-of-layer sync: the same
 // releases as finishForward, but without blocking the shared host thread —
 // the device copies are scheduled to free once the kernel and the offloads
 // have completed, so one stage's synchronization never stalls the issue of

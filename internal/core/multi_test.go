@@ -14,18 +14,24 @@ func multiCfg(p Policy, a AlgoMode, devices int, top pcie.Topology) Config {
 }
 
 // TestDevicesOneIsByteIdenticalToDefault: Devices == 1 (with or without a
-// topology) must go down the exact single-device path — the refactor's
-// degeneracy guarantee.
+// topology) must run the exact single-device schedule — the 1×1 grid's
+// degeneracy guarantee — down to the last byte of the Result, captured
+// schedule included.
 func TestDevicesOneIsByteIdenticalToDefault(t *testing.T) {
-	base := run(t, vgg64, cfg(VDNNAll, MemOptimal))
-	one, err := Run(vgg64, multiCfg(VDNNAll, MemOptimal, 1, pcie.SharedGen3Root()))
+	baseCfg := cfg(VDNNAll, MemOptimal)
+	baseCfg.CaptureSchedule = true
+	base, err := Run(vgg64, baseCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if one.IterTime != base.IterTime || one.FETime != base.FETime ||
-		one.MaxUsage != base.MaxUsage || one.AvgUsage != base.AvgUsage ||
-		one.OffloadBytes != base.OffloadBytes || one.PrefetchBytes != base.PrefetchBytes {
-		t.Fatalf("Devices=1 diverged from default:\n got %+v\nwant %+v", one, base)
+	oneCfg := multiCfg(VDNNAll, MemOptimal, 1, pcie.SharedGen3Root())
+	oneCfg.CaptureSchedule = true
+	one, err := Run(vgg64, oneCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := resultJSON(t, base), resultJSON(t, one); a != b {
+		t.Fatalf("Devices=1 result diverged from the default configuration:\n%s\nvs\n%s", b, a)
 	}
 	if len(one.Devices) != 0 {
 		t.Fatalf("single-device result carries %d DeviceResults", len(one.Devices))
@@ -72,7 +78,7 @@ func TestMultiGPUDedicatedNoContention(t *testing.T) {
 
 // TestMultiGPUSharedRootContention: on a single shared x16 uplink, replicas
 // genuinely contend — transfers stall versus their dedicated-link time — and
-// bandwidth conservation holds (executeDP validates the channels on every
+// bandwidth conservation holds (execute validates the channels on every
 // run; this test also checks the visible symptom).
 func TestMultiGPUSharedRootContention(t *testing.T) {
 	r, err := Run(alexNet, multiCfg(VDNNAll, MemOptimal, 4, pcie.SharedGen3Root()))

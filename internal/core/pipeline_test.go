@@ -47,9 +47,9 @@ func TestPipelineDefaults(t *testing.T) {
 	}
 }
 
-// TestPipelineStagesOneIdentical: a Stages=1 configuration routes through
-// the single-device trainer and produces the byte-identical Result of the
-// zero-value configuration.
+// TestPipelineStagesOneIdentical: a Stages=1 configuration runs as the
+// one-device grid and produces the byte-identical Result of the zero-value
+// configuration.
 func TestPipelineStagesOneIdentical(t *testing.T) {
 	net := traceNet(t)
 	base, err := Run(net, Config{Spec: gpu.TitanX(), Policy: VDNNAll, Algo: MemOptimal, CaptureSchedule: true})

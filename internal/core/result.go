@@ -4,79 +4,149 @@ import (
 	"sort"
 
 	"vdnn/internal/dnn"
-	"vdnn/internal/gpu"
 	"vdnn/internal/memalloc"
 	"vdnn/internal/sim"
 )
 
-// assemble builds the Result from the measured iteration window, reading
-// only this runtime's device (its engines are a subset of the timeline's
-// when replicas share one).
-func (e *runtime) assemble(winStart, winEnd sim.Time) *Result {
+// assemble builds the Result of the measured window [winStart, winEnd).
+// Lockstep replicas are symmetric, so pool usage, layer stats and Power
+// describe the first device; pipeline stages each own a slice of the
+// network, so they report the peak stage pool, the merged layers, the
+// summed Power, per-stage rows in Stages and the measured bubble. Traffic,
+// codec, host and energy counters aggregate over every device. A lone
+// device carries no per-device detail: its byte counters count the
+// transfers that start inside the window and its Power is its own.
+func (g *grid) assemble(winStart, winEnd sim.Time) *Result {
+	cfg := g.cfg
 	r := &Result{
-		Network:      e.net.Name,
-		Batch:        e.net.Batch,
-		Policy:       e.cfg.Policy,
-		PolicyName:   e.plan.PolicyName,
-		Algo:         e.cfg.Algo,
-		Oracle:       e.cfg.Oracle,
+		Network:      g.net.Name,
+		Batch:        g.net.Batch,
+		Policy:       cfg.Policy,
+		PolicyName:   g.rts[0].plan.PolicyName,
+		Algo:         cfg.Algo,
+		Oracle:       cfg.Oracle,
 		Trainable:    true,
 		IterTime:     winEnd - winStart,
-		MicroBatches: e.cfg.MicroBatches, // 1 outside pipeline runs
+		MicroBatches: cfg.MicroBatches, // 1 outside pipeline runs
+		PeakByKind:   map[memalloc.Kind]int64{},
 	}
-
-	ms := e.pool.Measure(winStart, winEnd)
-	r.MaxUsage = ms.Peak
-	r.AvgUsage = ms.Avg
-	if e.cfg.Debug {
-		r.DebugPeakTime = ms.PeakTime
-		r.DebugPeakLive = e.pool.SnapshotAt(ms.PeakTime)
+	layers := g.rts[0].stats // lockstep replicas report the first one's
+	if g.pipelined() {
+		layers = make([]LayerStats, len(g.net.Layers)) // merged over the stages
 	}
-	if e.cfg.CaptureSchedule {
-		r.Schedule = e.captureSchedule(winStart, winEnd)
-		sortSchedule(r.Schedule)
-	}
-	r.FrameworkBytes = e.fw.Used()
-	r.PeakByKind = map[memalloc.Kind]int64{}
-	for k, v := range ms.PeakByKind {
-		r.PeakByKind[k] = v
-	}
-	for _, k := range memalloc.Kinds() {
-		if v := e.fw.UsedByKind(k); v > 0 {
-			r.PeakByKind[k] += v
+	arStart, arEnd := sim.Time(-1), sim.Time(-1)
+	for i, rt := range g.rts {
+		r.OffloadRawBytes += rt.offRawBytes
+		r.PrefetchRawBytes += rt.preRawBytes
+		r.CompressTime += rt.compressTime
+		r.DecompressTime += rt.decompressTime
+		r.HostPinnedPeak += rt.host.Peak()
+		r.InterStageBytes += rt.ppSendBytes // each transfer counted once, at its sender
+		r.InterStageRawBytes += rt.ppSendRaw
+		if cfg.CaptureSchedule {
+			r.Schedule = append(r.Schedule, rt.captureSchedule(winStart, winEnd)...)
 		}
-	}
 
-	for _, o := range e.dev.Ops() {
-		if o.Start < winStart || o.Start >= winEnd {
+		var ms memalloc.Stats
+		if i == 0 || g.pipelined() {
+			rt.finalizeStats()
+			if g.pipelined() {
+				copy(layers[rt.lo:rt.hi], rt.stats[rt.lo:rt.hi])
+			}
+			ms = rt.pool.Measure(winStart, winEnd)
+			r.MaxUsage = max(r.MaxUsage, ms.Peak)
+			r.AvgUsage = max(r.AvgUsage, ms.Avg)
+			for k, v := range ms.PeakByKind {
+				r.PeakByKind[k] += v
+			}
+			for _, k := range memalloc.Kinds() {
+				if v := rt.fw.UsedByKind(k); v > 0 {
+					r.PeakByKind[k] += v
+				}
+			}
+			r.FrameworkBytes += rt.fw.Used()
+			r.OnDemandFetches += rt.onDemand
+			if cfg.Debug && !g.pipelined() {
+				r.DebugPeakTime = ms.PeakTime
+				r.DebugPeakLive = rt.pool.SnapshotAt(ms.PeakTime)
+			}
+		}
+
+		if len(g.rts) == 1 {
+			for _, eng := range rt.dev.Engines() {
+				for _, o := range eng.Ops() {
+					if o.Start < winStart || o.Start >= winEnd {
+						continue
+					}
+					switch o.Kind {
+					case sim.OpCopyD2H:
+						r.OffloadBytes += o.BusBytes
+					case sim.OpCopyH2D:
+						r.PrefetchBytes += o.BusBytes
+					}
+				}
+			}
+			r.Power, r.Energy = rt.dev.MeasurePowerEnergy(winStart, winEnd)
 			continue
 		}
-		switch o.Kind {
-		case sim.OpCopyD2H:
-			r.OffloadBytes += o.BusBytes
-		case sim.OpCopyH2D:
-			r.PrefetchBytes += o.BusBytes
-		}
-	}
-	r.OffloadRawBytes = e.offRawBytes
-	r.PrefetchRawBytes = e.preRawBytes
-	r.CompressTime = e.compressTime
-	r.DecompressTime = e.decompressTime
-	r.CompressionRatio = compressionRatio(r.OffloadRawBytes, r.OffloadBytes)
-	r.OnDemandFetches = e.onDemand
-	r.HostPinnedPeak = e.host.Peak()
-	r.Power, r.Energy = e.dev.MeasurePowerEnergy(winStart, winEnd)
 
-	// Per-layer stats: finish reuse distances and algorithm records, then
-	// derive the feature-extraction window and the maximum layer-wise
-	// working set.
-	e.finalizeStats()
-	r.MaxWorkingSet = maxWorkingSet(e.stats)
-	r.FETime = feWindow(e.stats)
+		dr := rt.deviceResult(winStart, winEnd)
+		r.Devices = append(r.Devices, dr)
+		r.OffloadBytes += dr.OffloadBytes
+		r.PrefetchBytes += dr.PrefetchBytes
+		r.AllReduceBytes += dr.AllReduceBytes
+		r.Energy = r.Energy.Add(dr.Energy)
+		if !g.pipelined() {
+			if i == 0 {
+				r.Power = dr.Power
+			}
+			for _, eng := range rt.dev.Engines() {
+				for _, o := range eng.Ops() {
+					if o.Kind != sim.OpCopyP2P || o.End <= winStart || o.Start >= winEnd {
+						continue
+					}
+					if arStart < 0 || o.Start < arStart {
+						arStart = o.Start
+					}
+					arEnd = max(arEnd, o.End)
+				}
+			}
+			continue
+		}
+		r.Power.AvgW += dr.Power.AvgW
+		r.Power.MaxW += dr.Power.MaxW
+		sr := StageResult{
+			Stage:         i,
+			FirstLayer:    rt.lo,
+			LastLayer:     rt.hi - 1,
+			StepTime:      dr.StepTime,
+			ComputeBusy:   dr.ComputeBusy,
+			BubbleTime:    dr.StepTime - dr.ComputeBusy,
+			SendBytes:     rt.ppSendBytes,
+			RecvBytes:     rt.ppRecvBytes,
+			OffloadBytes:  dr.OffloadBytes,
+			PrefetchBytes: dr.PrefetchBytes,
+			PoolPeak:      ms.Peak,
+		}
+		r.Stages = append(r.Stages, sr)
+		r.BubbleTime += sr.BubbleTime
+	}
+	if cfg.CaptureSchedule {
+		sortSchedule(r.Schedule)
+	}
+	if arEnd > arStart && arStart >= 0 {
+		r.AllReduceTime = arEnd - arStart
+	}
+	if g.pipelined() && r.IterTime > 0 {
+		r.BubbleFraction = float64(r.BubbleTime) / (float64(len(g.rts)) * float64(r.IterTime))
+	}
+	r.CompressionRatio = compressionRatio(r.OffloadRawBytes, r.OffloadBytes)
+	r.MaxWorkingSet = maxWorkingSet(layers)
+	r.FETime = feWindow(layers)
 	if r.FETime == 0 {
 		r.FETime = r.IterTime
 	}
-	r.Layers = e.stats
+	r.Layers = layers
 	return r
 }
 
@@ -186,61 +256,7 @@ func sortSchedule(s []ScheduleOp) {
 	})
 }
 
-// assembleDP builds the Result of a data-parallel run: replica 0's view for
-// the symmetric per-replica fields (pool usage, layer stats, policy
-// metadata), aggregates for the traffic counters, and per-replica detail in
-// Devices.
-func assembleDP(reps []*runtime, cfg Config, winStart, winEnd sim.Time) *Result {
-	r := reps[0].assemble(winStart, winEnd)
-	r.OffloadBytes, r.PrefetchBytes, r.HostPinnedPeak = 0, 0, 0
-	r.OffloadRawBytes, r.PrefetchRawBytes = 0, 0
-	r.CompressTime, r.DecompressTime = 0, 0
-	// Power keeps replica 0's view (replicas are symmetric); Energy, like the
-	// traffic counters, aggregates over every replica.
-	r.Energy = gpu.EnergyStats{}
-	if cfg.CaptureSchedule {
-		r.Schedule = nil
-		for _, rt := range reps {
-			r.Schedule = append(r.Schedule, rt.captureSchedule(winStart, winEnd)...)
-		}
-		sortSchedule(r.Schedule)
-	}
-
-	arStart, arEnd := sim.Time(-1), sim.Time(-1)
-	for _, rt := range reps {
-		d := rt.deviceResult(winStart, winEnd)
-		r.Devices = append(r.Devices, d)
-		r.Energy = r.Energy.Add(d.Energy)
-		r.OffloadBytes += d.OffloadBytes
-		r.PrefetchBytes += d.PrefetchBytes
-		r.AllReduceBytes += d.AllReduceBytes
-		r.OffloadRawBytes += rt.offRawBytes
-		r.PrefetchRawBytes += rt.preRawBytes
-		r.CompressTime += rt.compressTime
-		r.DecompressTime += rt.decompressTime
-		r.HostPinnedPeak += rt.host.Peak()
-		for _, eng := range rt.dev.Engines() {
-			for _, o := range eng.Ops() {
-				if o.Kind != sim.OpCopyP2P || o.End <= winStart || o.Start >= winEnd {
-					continue
-				}
-				if arStart < 0 || o.Start < arStart {
-					arStart = o.Start
-				}
-				if o.End > arEnd {
-					arEnd = o.End
-				}
-			}
-		}
-	}
-	if arEnd > arStart && arStart >= 0 {
-		r.AllReduceTime = arEnd - arStart
-	}
-	r.CompressionRatio = compressionRatio(r.OffloadRawBytes, r.OffloadBytes)
-	return r
-}
-
-// deviceResult summarizes one replica's measured iteration.
+// deviceResult summarizes one device's measured iteration.
 func (e *runtime) deviceResult(winStart, winEnd sim.Time) DeviceResult {
 	dr := DeviceResult{Device: e.dev.ID}
 	var minS, maxE sim.Time

@@ -36,22 +36,21 @@ type layerState struct {
 	prefetched bool // set when some later backward pass prefetched them
 }
 
-// runtime is the per-device execution context of one training replica: the
-// device with its engines and streams, the vDNN memory pool, the
-// framework-side (classifier) memory, host staging, per-buffer and per-layer
-// state, and the statistics of the measured iteration. A single-device
-// simulation runs one runtime on its own timeline; the data-parallel trainer
-// (trainer.go) drives N runtimes in lockstep on one shared timeline, their
-// DMA traffic arbitrated over the topology's shared channels.
+// runtime is the per-device execution context of one training replica or
+// pipeline stage: the device with its engines and streams, the vDNN memory
+// pool, the framework-side (classifier) memory, host staging, per-buffer and
+// per-layer state, and the statistics of the measured iteration. Every run
+// is a grid of runtimes on one shared timeline (trainer.go) — one device,
+// data-parallel replicas or pipeline stages — their DMA traffic arbitrated
+// over the topology's shared channels.
 //
 // The per-layer work is split into issue/finish pairs (issueForward /
 // finishForward, issueBackward / finishBackward): issue launches the layer's
 // transfers and kernels asynchronously, finish performs the end-of-layer
-// synchronization and releases. The single-device driver calls them
-// back-to-back — exactly the sequence the paper's Figure 9 host loop
-// executes — while the multi-device driver issues a layer on every replica
-// before synchronizing any of them, modeling a driver thread that launches
-// work across all GPUs and then waits.
+// synchronization and releases. The lockstep step issues a layer on every
+// replica before synchronizing any of them, modeling a driver thread that
+// launches work across all GPUs and then waits; with one device that is
+// exactly the sequence the paper's Figure 9 host loop executes.
 type runtime struct {
 	cfg  Config
 	net  *dnn.Network
@@ -60,8 +59,8 @@ type runtime struct {
 	// ctx, when non-nil, is the cancellation signal of the enclosing
 	// RunContext call: the drivers probe it (checkCtx) at layer and
 	// micro-batch boundaries so a canceled request stops simulating within
-	// one boundary's worth of work. Set by the execute* drivers, never by
-	// newRuntime — construction is quick and always runs to completion.
+	// one boundary's worth of work. Set by newGrid after construction, never
+	// by newRuntime — construction is quick and always runs to completion.
 	ctx context.Context
 
 	// lo/hi bound the layer IDs this runtime owns: [0, len(Layers)) for a
@@ -100,8 +99,9 @@ type runtime struct {
 	fw   *memalloc.Pool // framework-side (classifier) memory, outside vDNN
 	host *hostmem.Host
 
-	// arSend/arRecv carry the gradient all-reduce of the data-parallel
-	// trainer; unused (and empty) in single-device runs.
+	// arSend/arRecv carry the gradient all-reduce between replicas and the
+	// inter-stage hand-offs of a pipeline; unused (and empty) on a lone
+	// device.
 	arSend *sim.Stream
 	arRecv *sim.Stream
 
@@ -133,9 +133,13 @@ type runtime struct {
 	decompressTime sim.Time
 }
 
-// newRuntime builds the execution context of one replica on the given
-// device, performing the persistent allocations (framework memory, pool
-// setup). An allocation failure means the configuration is untrainable.
+// newRuntime builds the execution context of one device owning layers
+// [lo, hi) — the whole network for a replica, a contiguous range for a
+// pipeline stage — split into mbCount micro-batches, and performs the
+// persistent allocations (framework memory, pool setup). An allocation
+// failure means the configuration is untrainable. A non-nil tr attaches an
+// allocator trace recorder to the vDNN pool (differential evaluation;
+// structure.go).
 //
 // Memory accounting follows the paper's prototype (Section IV-A): the
 // classification layers "remain unchanged and use the same cuBLAS routines
@@ -144,15 +148,7 @@ type runtime struct {
 // sized to the GPU's remaining capacity and holds everything the memory
 // manager controls: feature-extraction maps, gradient maps, FE weights, and
 // convolution workspaces. Figure 11's usage numbers are pool numbers.
-func newRuntime(net *dnn.Network, cfg Config, plan *Plan, dev *gpu.Device) (*runtime, error) {
-	return newRuntimeRange(net, cfg, plan, dev, 0, len(net.Layers), 1, nil)
-}
-
-// newRuntimeRange builds the execution context of one pipeline stage owning
-// layers [lo, hi), split into mbCount micro-batches. The full range with one
-// micro-batch is exactly newRuntime. A non-nil tr attaches an allocator
-// trace recorder to the vDNN pool (differential evaluation; structure.go).
-func newRuntimeRange(net *dnn.Network, cfg Config, plan *Plan, dev *gpu.Device, lo, hi, mbCount int, tr *memalloc.Trace) (*runtime, error) {
+func newRuntime(net *dnn.Network, cfg Config, plan *Plan, dev *gpu.Device, lo, hi, mbCount int, tr *memalloc.Trace) (*runtime, error) {
 	e := &runtime{
 		cfg:       cfg,
 		net:       net,

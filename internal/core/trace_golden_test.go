@@ -14,7 +14,7 @@ import (
 	"vdnn/internal/tensor"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite the golden Chrome-trace files")
+var updateGolden = flag.Bool("update-golden", false, "rewrite the golden files (Chrome traces and whole Results)")
 
 // traceNet is a tiny deterministic network for the golden traces: two CONV
 // blocks and a classifier, enough to exercise offload, prefetch and (multi

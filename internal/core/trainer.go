@@ -3,84 +3,206 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"vdnn/internal/cudnnsim"
 	"vdnn/internal/dnn"
 	"vdnn/internal/gpu"
 	"vdnn/internal/memalloc"
+	"vdnn/internal/partition"
 	"vdnn/internal/sim"
 )
 
 // execute simulates cfg.Iterations training iterations and returns metrics
 // for the last one. An allocation failure anywhere aborts with an error
-// (the configuration is untrainable). Pipeline configurations run the
-// micro-batch pipeline trainer (which derives its own per-stage plans from
-// the policy), configurations with more than one device run the
-// data-parallel trainer, and a single device runs one runtime on a dedicated
-// timeline — today's exact schedule. A done ctx aborts the run at the next
-// layer (or micro-batch) boundary with an ErrCanceled-wrapping error.
+// (the configuration is untrainable). Every configuration runs as a grid of
+// runtimes on one shared timeline: one device is the 1×1 grid, data
+// parallelism the R×1 grid and a pipeline the 1×S grid. A done ctx aborts
+// the run at the next layer (or micro-batch) boundary with an
+// ErrCanceled-wrapping error.
 func execute(ctx context.Context, net *dnn.Network, cfg Config, pol OffloadPolicy, plan *Plan) (*Result, error) {
-	if cfg.Stages > 1 {
-		return executePP(ctx, net, cfg, pol)
-	}
-	if cfg.Devices > 1 {
-		return executeDP(ctx, net, cfg, plan)
-	}
-	dev := gpu.NewDevice(cfg.Spec)
-	dev.UsePageMigration = cfg.PageMigration
-	e, err := newRuntimeRange(net, cfg, plan, dev, 0, len(net.Layers), 1, allocTraceFrom(ctx))
+	g, err := newGrid(ctx, net, cfg, pol, plan)
 	if err != nil {
 		return nil, err
 	}
-	e.ctx = ctx
-
+	step := g.stepLockstep
+	if g.pipelined() {
+		step = g.stepPipeline
+	}
 	var winStart sim.Time
-	for e.iter = 0; e.iter < cfg.Iterations; e.iter++ {
-		e.resetIteration()
-		winStart = e.now()
-		if err := e.runIteration(); err != nil {
-			return nil, fmt.Errorf("iteration %d: %w", e.iter, err)
+	for iter := 0; iter < cfg.Iterations; iter++ {
+		for _, rt := range g.rts {
+			rt.iter = iter
+			rt.resetIteration()
+		}
+		winStart = g.tl.Now()
+		if err := step(); err != nil {
+			return nil, fmt.Errorf("iteration %d: %w", iter, err)
 		}
 	}
-	winEnd := e.now()
-	if err := e.dev.TL.Validate(); err != nil {
+	winEnd := g.tl.Now()
+	if err := g.tl.Validate(); err != nil {
 		return nil, fmt.Errorf("core: schedule invariant broken: %w", err)
 	}
-	return e.assemble(winStart, winEnd), nil
+	for _, ch := range g.chans {
+		if err := ch.Validate(); err != nil {
+			return nil, fmt.Errorf("core: interconnect invariant broken: %w", err)
+		}
+	}
+	return g.assemble(winStart, winEnd), nil
 }
 
-// runIteration performs one single-device forward + backward (+ weight
-// update) pass, synchronizing each layer right after issuing it — the
-// paper's Figure 9 host loop.
-func (e *runtime) runIteration() error {
-	if err := e.beginIteration(); err != nil {
+// maxDevices bounds the device count of a grid; far beyond any PCIe root
+// complex.
+const maxDevices = 64
+
+// grid is the set of runtimes one run trains on: every device sits on the
+// same timeline (one event clock, one host issue thread) and, under a shared
+// topology, behind the same root-complex channels.
+type grid struct {
+	net   *dnn.Network
+	cfg   Config
+	tl    *sim.Timeline
+	chans []*sim.SharedChannel // root.down, root.up; none on dedicated links
+	rts   []*runtime
+
+	// member names a device in error text: "device" for replicas, "stage"
+	// for pipeline stages, empty for a lone device (whose errors stay
+	// unprefixed).
+	member string
+	bounds []stageBoundary // the pipeline's stage hand-offs
+}
+
+// newGrid builds the runtimes of one run: the whole network on one device,
+// on cfg.Devices replicas under the same plan, or cfg.Stages contiguous
+// stages, each under its own plan and split into cfg.MicroBatches
+// micro-batches. The devices share the node's host DRAM, so each gets an
+// even share of the pinned-memory budget.
+func newGrid(ctx context.Context, net *dnn.Network, cfg Config, pol OffloadPolicy, plan *Plan) (*grid, error) {
+	g := &grid{net: net, cfg: cfg, tl: sim.New(cfg.Spec.LaunchOverhead, cfg.Spec.SyncOverhead)}
+	parts := []partition.Stage{{Lo: 0, Hi: len(net.Layers)}}
+	mbCount := 1
+	var tr *memalloc.Trace
+	switch {
+	case cfg.Stages > 1:
+		var err error
+		if parts, g.bounds, err = pipelineStages(net, cfg, pol); err != nil {
+			return nil, err
+		}
+		g.member, mbCount = "stage", cfg.MicroBatches
+	case cfg.Devices > 1:
+		parts = slices.Repeat(parts, cfg.Devices)
+		g.member = "device"
+	default:
+		// Differential evaluation records the allocator calls of the one
+		// pool a lone device has (structure.go).
+		tr = allocTraceFrom(ctx)
+	}
+	var down, up *sim.SharedChannel
+	if cfg.Topology.Shared() {
+		down = sim.NewSharedChannel("root.down", float64(cfg.Topology.RootBps))
+		up = sim.NewSharedChannel("root.up", float64(cfg.Topology.RootBps))
+		g.chans = []*sim.SharedChannel{down, up}
+	}
+
+	devCfg := cfg
+	devCfg.HostBytes = cfg.HostBytes / int64(len(parts))
+	g.rts = make([]*runtime, 0, len(parts))
+	for i, p := range parts {
+		dev := gpu.NewDeviceOn(g.tl, cfg.Spec, i, down, up)
+		dev.UsePageMigration = cfg.PageMigration
+		devPlan := plan
+		if g.pipelined() {
+			var err error
+			if devPlan, err = buildStagePlan(net, cfg, pol, p.Lo, p.Hi); err != nil {
+				return nil, g.tag(i, err)
+			}
+		}
+		rt, err := newRuntime(net, devCfg, devPlan, dev, p.Lo, p.Hi, mbCount, tr)
+		if err != nil {
+			return nil, g.tag(i, err)
+		}
+		rt.ctx = ctx
+		g.rts = append(g.rts, rt)
+	}
+	return g, nil
+}
+
+// pipelined reports whether the grid is a pipeline (1×S) rather than a set
+// of lockstep replicas (R×1, R >= 1).
+func (g *grid) pipelined() bool { return g.bounds != nil }
+
+// tag prefixes err with the failing device's place in the grid.
+func (g *grid) tag(i int, err error) error {
+	if g.member == "" {
 		return err
 	}
-	for _, l := range e.net.Layers {
-		if err := e.checkCtx(); err != nil {
+	return fmt.Errorf("%s %d: %w", g.member, i, err)
+}
+
+// stepLockstep drives one training step across the replicas in lockstep.
+// The host thread walks the layer sequence, issuing a layer's work on every
+// replica before performing the end-of-layer synchronizations — the paper's
+// Figure 9 loop, generalized to several GPUs; with one replica it is that
+// loop exactly. A ring all-reduce synchronizes the weight gradients before
+// the SGD updates run.
+func (g *grid) stepLockstep() error {
+	for i, r := range g.rts {
+		if err := r.beginIteration(); err != nil {
+			return g.tag(i, err)
+		}
+	}
+	fp := make([]fwdPending, len(g.rts))
+	for _, l := range g.net.Layers {
+		if err := g.rts[0].checkCtx(); err != nil {
 			return err
 		}
-		p, err := e.issueForward(l)
-		if err != nil {
-			return fmt.Errorf("fwd %s: %w", l.Name, err)
+		for i, r := range g.rts {
+			p, err := r.issueForward(l)
+			if err != nil {
+				return g.tag(i, fmt.Errorf("fwd %s: %w", l.Name, err))
+			}
+			fp[i] = p
 		}
-		e.finishForward(p)
+		for i, r := range g.rts {
+			r.finishForward(fp[i])
+		}
 	}
-	for i := len(e.net.Layers) - 1; i >= 0; i-- {
-		if err := e.checkCtx(); err != nil {
+	bp := make([]bwdPending, len(g.rts))
+	for j := len(g.net.Layers) - 1; j >= 0; j-- {
+		if err := g.rts[0].checkCtx(); err != nil {
 			return err
 		}
-		l := e.net.Layers[i]
-		p, err := e.issueBackward(l)
-		if err != nil {
-			return fmt.Errorf("bwd %s: %w", l.Name, err)
+		l := g.net.Layers[j]
+		for i, r := range g.rts {
+			p, err := r.issueBackward(l)
+			if err != nil {
+				return g.tag(i, fmt.Errorf("bwd %s: %w", l.Name, err))
+			}
+			bp[i] = p
 		}
-		e.finishBackward(p)
+		for i, r := range g.rts {
+			r.finishBackward(bp[i])
+		}
 	}
-	if err := e.weightUpdate(nil); err != nil {
-		return err
+	// The convnet-benchmarks timing protocol (SkipWeightUpdate) drops the
+	// weight update and with it the gradient sync that exists only to feed
+	// it — otherwise the all-reduce would dangle past the iteration
+	// boundary, unsynchronized by anything.
+	if !g.cfg.SkipWeightUpdate {
+		synced := allReduce(g.rts)
+		for i, r := range g.rts {
+			if err := r.weightUpdate(synced[i]); err != nil {
+				return g.tag(i, err)
+			}
+		}
 	}
-	return e.endIteration()
+	for i, r := range g.rts {
+		if err := r.endIteration(); err != nil {
+			return g.tag(i, err)
+		}
+	}
+	return nil
 }
 
 // beginIteration prepares the input batch buffer. The baseline holds it
@@ -101,9 +223,8 @@ func (e *runtime) beginIteration() error {
 }
 
 // weightUpdate issues the SGD update kernels. syncDep, when non-nil, orders
-// every update after it — the data-parallel trainer passes the replica's
-// final all-reduce transfer so no weight updates before its gradients are
-// globally reduced.
+// every update after it — a replica passes its final all-reduce transfer so
+// no weight updates before its gradients are globally reduced.
 func (e *runtime) weightUpdate(syncDep *sim.Op) error {
 	if e.cfg.SkipWeightUpdate {
 		return nil
@@ -139,160 +260,25 @@ func (e *runtime) endIteration() error {
 	return e.checkIterationEnd()
 }
 
-// --- data-parallel trainer ---
-
-// maxDevices bounds the replica count; far beyond any PCIe root complex.
-const maxDevices = 64
-
-// executeDP simulates cfg.Devices data-parallel replicas on one shared
-// timeline: each replica trains the full network on its own minibatch under
-// the same plan, all DMA traffic is arbitrated over the topology's shared
-// root-complex channels, and a ring all-reduce synchronizes the weight
-// gradients each step before the SGD updates run.
-//
-// The driver is one host thread that walks the layer sequence in lockstep:
-// it issues a layer's work on every replica, then performs the end-of-layer
-// synchronizations — the multi-GPU generalization of the paper's Figure 9
-// loop. With one device and a dedicated topology this degenerates to the
-// single-device schedule exactly.
-func executeDP(ctx context.Context, net *dnn.Network, cfg Config, plan *Plan) (*Result, error) {
-	n := cfg.Devices
-	tl := sim.New(cfg.Spec.LaunchOverhead, cfg.Spec.SyncOverhead)
-	var down, up *sim.SharedChannel
-	if cfg.Topology.Shared() {
-		down = sim.NewSharedChannel("root.down", float64(cfg.Topology.RootBps))
-		up = sim.NewSharedChannel("root.up", float64(cfg.Topology.RootBps))
-	}
-
-	// Replicas share the node's host DRAM: split the pinned-memory budget.
-	repCfg := cfg
-	repCfg.HostBytes = cfg.HostBytes / int64(n)
-
-	reps := make([]*runtime, n)
-	for i := range reps {
-		dev := gpu.NewDeviceOn(tl, cfg.Spec, i, down, up)
-		dev.UsePageMigration = cfg.PageMigration
-		r, err := newRuntime(net, repCfg, plan, dev)
-		if err != nil {
-			return nil, fmt.Errorf("device %d: %w", i, err)
-		}
-		r.ctx = ctx
-		reps[i] = r
-	}
-
-	gradBytes := net.TotalWeightBytes()
-	var winStart sim.Time
-	for iter := 0; iter < cfg.Iterations; iter++ {
-		for _, r := range reps {
-			r.iter = iter
-			r.resetIteration()
-		}
-		winStart = tl.Now()
-		if err := runStepDP(net, reps, gradBytes); err != nil {
-			return nil, fmt.Errorf("iteration %d: %w", iter, err)
-		}
-	}
-	winEnd := tl.Now()
-	if err := tl.Validate(); err != nil {
-		return nil, fmt.Errorf("core: schedule invariant broken: %w", err)
-	}
-	for _, ch := range []*sim.SharedChannel{down, up} {
-		if ch == nil {
-			continue
-		}
-		if err := ch.Validate(); err != nil {
-			return nil, fmt.Errorf("core: interconnect invariant broken: %w", err)
-		}
-	}
-	return assembleDP(reps, cfg, winStart, winEnd), nil
-}
-
-// runStepDP drives one training step across all replicas in lockstep.
-func runStepDP(net *dnn.Network, reps []*runtime, gradBytes int64) error {
-	for i, r := range reps {
-		if err := r.beginIteration(); err != nil {
-			return fmt.Errorf("device %d: %w", i, err)
-		}
-	}
-	fp := make([]fwdPending, len(reps))
-	for _, l := range net.Layers {
-		if err := reps[0].checkCtx(); err != nil {
-			return err
-		}
-		for i, r := range reps {
-			p, err := r.issueForward(l)
-			if err != nil {
-				return fmt.Errorf("device %d: fwd %s: %w", i, l.Name, err)
-			}
-			fp[i] = p
-		}
-		for i, r := range reps {
-			r.finishForward(fp[i])
-		}
-	}
-	bp := make([]bwdPending, len(reps))
-	for j := len(net.Layers) - 1; j >= 0; j-- {
-		if err := reps[0].checkCtx(); err != nil {
-			return err
-		}
-		l := net.Layers[j]
-		for i, r := range reps {
-			p, err := r.issueBackward(l)
-			if err != nil {
-				return fmt.Errorf("device %d: bwd %s: %w", i, l.Name, err)
-			}
-			bp[i] = p
-		}
-		for i, r := range reps {
-			r.finishBackward(bp[i])
-		}
-	}
-	// The convnet-benchmarks timing protocol (SkipWeightUpdate) drops the
-	// weight update and with it the gradient sync that exists only to feed
-	// it — otherwise the all-reduce would dangle past the iteration
-	// boundary, unsynchronized by anything.
-	if reps[0].cfg.SkipWeightUpdate {
-		return endStepDP(reps)
-	}
-	ar := allReduce(reps, gradBytes)
-	for i, r := range reps {
-		if err := r.weightUpdate(ar.done[i]); err != nil {
-			return fmt.Errorf("device %d: %w", i, err)
-		}
-	}
-	return endStepDP(reps)
-}
-
-// endStepDP drains every replica's streams and checks the release
-// discipline.
-func endStepDP(reps []*runtime) error {
-	for i, r := range reps {
-		if err := r.endIteration(); err != nil {
-			return fmt.Errorf("device %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// allReduceOps records the gradient-synchronization transfers of one step.
-type allReduceOps struct {
-	done []*sim.Op // per replica: last transfer (the SGD gate)
-}
-
 // allReduce injects a ring all-reduce of the weight gradients over the
 // interconnect: 2(N-1) phases in which every replica simultaneously sends
 // one gradient chunk to its ring successor and receives one from its
 // predecessor. Each replica moves 2(N-1)/N of the model per direction — the
 // bandwidth-optimal schedule — and under a shared topology this traffic
-// contends with everything else on the root complex.
-func allReduce(reps []*runtime, gradBytes int64) *allReduceOps {
+// contends with everything else on the root complex. It returns each
+// replica's last transfer, the gate of its SGD updates (nil when there is
+// nothing to reduce).
+func allReduce(reps []*runtime) []*sim.Op {
 	n := len(reps)
-	ar := &allReduceOps{done: make([]*sim.Op, n)}
-	if n < 2 || gradBytes == 0 {
-		return ar
+	recv := make([]*sim.Op, n)
+	if n < 2 {
+		return recv
+	}
+	gradBytes := reps[0].net.TotalWeightBytes()
+	if gradBytes == 0 {
+		return recv
 	}
 	chunk := (gradBytes + int64(n) - 1) / int64(n)
-	recv := make([]*sim.Op, n)
 	for phase := 0; phase < 2*(n-1); phase++ {
 		send := make([]*sim.Op, n)
 		for i, r := range reps {
@@ -310,6 +296,5 @@ func allReduce(reps []*runtime, gradBytes int64) *allReduceOps {
 			recv[i] = r.dev.PeerRecv(fmt.Sprintf("AR-recv:p%d", phase), chunk, r.arRecv, peer)
 		}
 	}
-	copy(ar.done, recv)
-	return ar
+	return recv
 }

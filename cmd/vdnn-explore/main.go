@@ -90,9 +90,8 @@ type explorer struct {
 	name string
 }
 
-// net resolves through the simulator's memoized network cache, so every
-// sweep of one invocation shares identity-stable instances (the result
-// cache keys on them).
+// net resolves through the simulator's memoized network cache, so each
+// (network, batch) is built once per invocation.
 func (e *explorer) net(batch int) *vdnn.Network {
 	n, err := e.sim.Network(e.name, batch)
 	if err != nil {

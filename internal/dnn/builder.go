@@ -263,6 +263,7 @@ func (b *Builder) Finalize() (*Network, error) {
 		Layers:  b.layers,
 		Tensors: b.tensors,
 		Input:   b.input,
+		derived: new(derived),
 	}
 	if err := n.Validate(); err != nil {
 		return nil, err

@@ -38,20 +38,12 @@ func (l *Layer) BwdReads() []*Tensor {
 // kernel reads fall back to their producer's backward slot, which is always
 // safe (nothing below the producer can reference them).
 //
-// The result is memoized per network identity and shared between callers:
-// read it, do not mutate it.
+// The result is computed once per network and shared between callers: read
+// it, do not mutate it.
 func LastBwdReaders(n *Network) map[*Tensor]*Layer {
-	derivedMu.Lock()
-	d := derivedOf(n)
-	m := d.lastBwd
-	derivedMu.Unlock()
-	if m == nil {
-		m = computeLastBwdReaders(n)
-		derivedMu.Lock()
-		derivedOf(n).lastBwd = m
-		derivedMu.Unlock()
-	}
-	return m
+	d := n.derived
+	d.bwdOnce.Do(func() { d.lastBwd = computeLastBwdReaders(n) })
+	return d.lastBwd
 }
 
 // computeLastBwdReaders is the uncached analysis behind LastBwdReaders.

@@ -13,7 +13,10 @@
 package dnn
 
 import (
+	"crypto/sha256"
 	"fmt"
+	"strings"
+	"sync"
 
 	"vdnn/internal/cudnnsim"
 	"vdnn/internal/tensor"
@@ -177,7 +180,10 @@ func (l *Layer) ConvGeom(d tensor.DType) cudnnsim.ConvGeom {
 	}
 }
 
-// Network is a validated, immutable network description.
+// Network is a validated, immutable network description, made by a Builder
+// (or WithDType). Its identity is its structure (Identity), and its derived
+// analyses (GradientInfos, LastBwdReaders) are computed once, on first use,
+// and stored with it.
 type Network struct {
 	Name  string
 	Batch int
@@ -186,18 +192,63 @@ type Network struct {
 	Layers  []*Layer  // execution order
 	Tensors []*Tensor // all distinct buffers, including the input
 	Input   *Tensor
+
+	derived *derived
+}
+
+// derived holds what is computed from a network once, on first use. It sits
+// behind a pointer so a Network stays copyable: each copy gets its own.
+type derived struct {
+	idOnce      sync.Once
+	fingerprint string
+	digest      [sha256.Size]byte
+
+	gradOnce  sync.Once
+	gradInfos map[*Tensor]*GradInfo
+
+	bwdOnce sync.Once
+	lastBwd map[*Tensor]*Layer
 }
 
 // WithDType returns a shallow copy of the network using a different element
 // type. Shapes and topology are shared; every byte and cost computation
-// scales with the new type. Used for reduced-precision what-if experiments
-// (the paper's related-work Section VI discusses precision as an orthogonal
-// memory lever).
+// scales with the new type, and the copy computes its own derived state.
+// Used for reduced-precision what-if experiments (the paper's related-work
+// Section VI discusses precision as an orthogonal memory lever).
 func (n *Network) WithDType(d tensor.DType) *Network {
 	c := *n
 	c.DType = d
 	c.Name = fmt.Sprintf("%s %s", n.Name, d)
+	c.derived = new(derived)
 	return &c
+}
+
+// Identity returns the network's structural identity: a serialization of its
+// name, batch, element type, input buffer and per-layer
+// kind/geometry/connectivity, and that serialization's SHA-256. Two networks
+// with equal identities produce identical simulation results under any
+// configuration, so the result cache and the result store key on it, never
+// on the instance: a rebuilt network is the same network. Computed once, on
+// first use.
+func (n *Network) Identity() (fingerprint string, digest [sha256.Size]byte) {
+	d := n.derived
+	d.idOnce.Do(func() {
+		var b strings.Builder
+		fmt.Fprintf(&b, "%s|%d|%d|%d|%d|%v\n",
+			n.Name, n.Batch, int(n.DType), len(n.Layers), n.Input.ID, n.Input.Shape)
+		for _, l := range n.Layers {
+			fmt.Fprintf(&b, "%d|%s|%d|%d|%t|%d|%v|",
+				l.ID, l.Name, int(l.Kind), int(l.Stage), l.InPlace, l.Output.ID, l.Output.Shape)
+			for _, in := range l.Inputs {
+				fmt.Fprintf(&b, "%d,", in.ID)
+			}
+			// Spec pointers print as &{...} or <nil>; both are deterministic.
+			fmt.Fprintf(&b, "|%v|%v|%v|%v|%v\n", l.Conv, l.Pool, l.LRN, l.FC, l.Dropout)
+		}
+		d.fingerprint = b.String()
+		d.digest = sha256.Sum256([]byte(d.fingerprint))
+	})
+	return d.fingerprint, d.digest
 }
 
 // FeatureLayers returns the layers vDNN manages.

@@ -1,7 +1,9 @@
 package dnn
 
 import (
+	"maps"
 	"strings"
+	"sync"
 	"testing"
 
 	"vdnn/internal/tensor"
@@ -362,11 +364,58 @@ func TestAddJoinShapeMismatch(t *testing.T) {
 
 func TestWithDTypeScalesBytes(t *testing.T) {
 	n := linearNet(t, 4)
+	_, nd := n.Identity()
+	infos := GradientInfos(n) // computed on n first: h must compute its own
 	h := n.WithDType(tensor.Float16)
 	if h.FeatureMapBytes()*2 != n.FeatureMapBytes() {
 		t.Fatalf("fp16 fm bytes %d, want half of %d", h.FeatureMapBytes(), n.FeatureMapBytes())
 	}
 	if n.DType != tensor.Float32 {
 		t.Fatal("WithDType mutated the original")
+	}
+	if _, hd := h.Identity(); hd == nd {
+		t.Error("fp16 network shares the fp32 network's identity")
+	}
+	for root, gi := range GradientInfos(h) {
+		if gi.Bytes*2 != infos[root].Bytes {
+			t.Errorf("fp16 gradient of tensor %d: %d bytes, want half of %d", root.ID, gi.Bytes, infos[root].Bytes)
+		}
+	}
+}
+
+// TestNetworkConcurrentAnalyses has many goroutines race to compute a fresh
+// network's identity and analyses; run under -race. Every caller must see
+// the one computed value.
+func TestNetworkConcurrentAnalyses(t *testing.T) {
+	n := forkNet(t)
+	const workers = 8
+	type seen struct {
+		fingerprint string
+		digest      [32]byte
+		bwd         map[*Tensor]*Layer
+		grads       map[*Tensor]*GradInfo
+	}
+	out := make([]seen, workers)
+	var wg sync.WaitGroup
+	for i := range out {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out[i].grads = GradientInfos(n)
+			out[i].bwd = LastBwdReaders(n)
+			out[i].fingerprint, out[i].digest = n.Identity()
+		}()
+	}
+	wg.Wait()
+	for i, o := range out {
+		if o.fingerprint == "" || o.fingerprint != out[0].fingerprint || o.digest != out[0].digest {
+			t.Errorf("goroutine %d: identity differs", i)
+		}
+		if len(o.bwd) == 0 || !maps.Equal(o.bwd, out[0].bwd) {
+			t.Errorf("goroutine %d: LastBwdReaders differs", i)
+		}
+		if len(o.grads) == 0 || !maps.Equal(o.grads, out[0].grads) {
+			t.Errorf("goroutine %d: GradientInfos differs", i)
+		}
 	}
 }

@@ -52,21 +52,13 @@ func GradRoot(t *Tensor) *Tensor {
 // gradInput for the data layer), and the loss output has no gradient (the
 // loss layer's backward *generates* the seed, Equation 1).
 //
-// The analysis is memoized per network identity; the returned map is the
+// The analysis is computed once per network; the returned map is the
 // caller's to reshape (a fresh clone each call), but the *GradInfo values
 // are shared and must not be mutated.
 func GradientInfos(n *Network) map[*Tensor]*GradInfo {
-	derivedMu.Lock()
-	d := derivedOf(n)
-	infos := d.gradInfos
-	derivedMu.Unlock()
-	if infos == nil {
-		infos = computeGradientInfos(n)
-		derivedMu.Lock()
-		derivedOf(n).gradInfos = infos
-		derivedMu.Unlock()
-	}
-	return maps.Clone(infos)
+	d := n.derived
+	d.gradOnce.Do(func() { d.gradInfos = computeGradientInfos(n) })
+	return maps.Clone(d.gradInfos)
 }
 
 // computeGradientInfos is the uncached liveness analysis behind

@@ -50,6 +50,25 @@ func TestJobsCoverGen(t *testing.T) {
 	}
 }
 
+// TestSuitesShareSimulatorCache checks that suites sharing one simulator
+// share its results: each suite builds its own networks, and the cache keys
+// on their structure, so a second suite regenerates an experiment without
+// simulating.
+func TestSuitesShareSimulatorCache(t *testing.T) {
+	sim := vdnn.NewSimulator(vdnn.WithParallelism(4))
+	var want, got bytes.Buffer
+	NewSuiteSim(gpu.TitanX(), sim).Experiments()[0].Gen().Render(&want)
+	before := sim.Stats()
+	NewSuiteSim(gpu.TitanX(), sim).Experiments()[0].Gen().Render(&got)
+	after := sim.Stats()
+	if after.Simulations != before.Simulations || after.Hits == before.Hits {
+		t.Errorf("second suite did not share the first one's results: before %+v, after %+v", before, after)
+	}
+	if got.String() != want.String() {
+		t.Errorf("second suite rendered a different table:\n%s\nwant:\n%s", got.String(), want.String())
+	}
+}
+
 // TestExperimentsShareCache checks the suite-wide cache: regenerating every
 // experiment on one suite must not re-simulate configurations that earlier
 // experiments already ran (e.g. Figure 4 reuses Figure 1's simulations, the

@@ -49,11 +49,8 @@ func NewSuite(spec gpu.Spec) *Suite {
 }
 
 // NewSuiteSim creates a Suite running on an existing simulator
-// (vdnn.WithParallelism(1) yields the sequential reference). Sharing one
-// simulator across suites bounds their combined parallelism; it does not
-// share cached results between them, because the cache keys results by
-// network identity and each suite memoizes its own network instances —
-// reuse one Suite for warm-cache regeneration.
+// (vdnn.WithParallelism(1) yields the sequential reference). Suites sharing
+// one simulator share its parallelism bound and its cached results.
 func NewSuiteSim(spec gpu.Spec, sim *vdnn.Simulator) *Suite {
 	return &Suite{Spec: spec, sim: sim, nets: map[string]*dnn.Network{},
 		timings: map[string]time.Duration{}}

@@ -339,13 +339,15 @@ func (jr *jobRunner) run(j *job) {
 	j.finished = time.Now()
 	j.mu.Unlock()
 	j.cancel() // release the job context's resources
-	close(j.doneCh)
+	// Count the job before closing doneCh: a client that saw the summary
+	// must find it in the stats.
 	if final == JobCanceled {
 		jr.canceled.Add(1)
 	} else {
 		jr.completed.Add(1)
 	}
 	jr.running.Add(-1)
+	close(j.doneCh)
 	jr.s.log.Info("job finished", "job", j.id, "status", string(final),
 		"points", len(j.points))
 

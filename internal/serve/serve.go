@@ -402,7 +402,7 @@ func defaultRequest() SimRequest {
 }
 
 // network resolves (name, batch) through the simulator's memoized network
-// cache — the identity-stable instances the result cache keys on.
+// cache.
 func (s *Server) network(name string, batch int) (*vdnn.Network, error) {
 	if batch <= 0 || batch > maxBatch {
 		return nil, fmt.Errorf("batch must be in [1, %d], got %d", maxBatch, batch)

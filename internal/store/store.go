@@ -1,9 +1,9 @@
 // Package store is a content-addressed, file-backed persistent cache of
 // simulation results. It extends the in-process result cache
-// (internal/sweep) across restarts and across processes: the key is a
-// digest of the same normalized Config that keys the in-memory cache plus a
-// structural fingerprint of the network, so any two processes that would
-// coalesce a request in memory address the same record on disk.
+// (internal/sweep) across restarts and across processes. Both key on the
+// same pair — the network's structural identity and the normalized Config —
+// so a request the in-memory cache would serve addresses the same record on
+// disk, in any process.
 //
 // Layout and durability model:
 //
@@ -43,11 +43,8 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
-	"sync"
 	"sync/atomic"
-	"weak"
 
 	"crypto/sha256"
 
@@ -66,7 +63,7 @@ const (
 
 	// keyDomain prefixes every key hash so store keys can never collide
 	// with any other sha256 use, and bumping it invalidates all keys.
-	keyDomain = "vdnn-store-key-v1\n"
+	keyDomain = "vdnn-store-key-v2\n"
 
 	// maxPayload bounds a record's gob payload; anything claiming more is
 	// corrupt by definition (a figures-suite record is tens of KB, and a
@@ -185,32 +182,11 @@ func (s *Store) Stats() Stats {
 
 // --- keys -------------------------------------------------------------------
 
-// fingerprints memoizes the structural fingerprint per *dnn.Network.
-// Networks are immutable once built and the simulator's network cache hands
-// out shared pointers, so identity is a sound memo key. The memo holds each
-// network weakly, and a cleanup deletes its entry once the network is
-// collected, so the memo never keeps a dropped network alive.
-var fingerprints sync.Map // weak.Pointer[dnn.Network] -> string
-
-// networkFingerprint returns the memoized fingerprint of net.
-func networkFingerprint(net *dnn.Network) string {
-	wp := weak.Make(net)
-	if fp, ok := fingerprints.Load(wp); ok {
-		return fp.(string)
-	}
-	fp, loaded := fingerprints.LoadOrStore(wp, fingerprint(net))
-	if !loaded {
-		runtime.AddCleanup(net, func(wp weak.Pointer[dnn.Network]) { fingerprints.Delete(wp) }, wp)
-	}
-	return fp.(string)
-}
-
 // Key returns the store key for simulating net under cfg, or ok=false if
 // the configuration cannot be addressed persistently (custom policies: a
 // policy object's decisions are not recoverable from its name by another
-// process). The key hashes the network's structure — not its registry name
-// alone — plus the normalized Config, mirroring exactly what the in-memory
-// result cache keys on.
+// process). The key hashes the network's fingerprint (dnn.Network.Identity)
+// and the normalized Config.
 func Key(net *dnn.Network, cfg core.Config) (string, bool) {
 	if cfg.Custom != nil {
 		return "", false
@@ -221,28 +197,11 @@ func Key(net *dnn.Network, cfg core.Config) (string, bool) {
 	}
 	h := sha256.New()
 	io.WriteString(h, keyDomain)
-	io.WriteString(h, networkFingerprint(net))
+	fp, _ := net.Identity()
+	io.WriteString(h, fp)
 	h.Write([]byte{0})
 	h.Write(cfgJSON)
 	return hex.EncodeToString(h.Sum(nil)), true
-}
-
-// fingerprint serializes the structural identity of a network: name, batch,
-// element type, and per-layer kind/geometry/connectivity. Two networks with
-// equal fingerprints produce identical simulation results under any Config.
-func fingerprint(n *dnn.Network) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s|%d|%d|%d\n", n.Name, n.Batch, int(n.DType), len(n.Layers))
-	for _, l := range n.Layers {
-		fmt.Fprintf(&b, "%d|%s|%d|%d|%t|%d|%v|",
-			l.ID, l.Name, int(l.Kind), int(l.Stage), l.InPlace, l.Output.ID, l.Output.Shape)
-		for _, in := range l.Inputs {
-			fmt.Fprintf(&b, "%d,", in.ID)
-		}
-		// Spec pointers print as &{...} or <nil>; both are deterministic.
-		fmt.Fprintf(&b, "|%v|%v|%v|%v|%v\n", l.Conv, l.Pool, l.LRN, l.FC, l.Dropout)
-	}
-	return b.String()
 }
 
 // --- read path --------------------------------------------------------------

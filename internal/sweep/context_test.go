@@ -90,36 +90,6 @@ func TestCacheBound(t *testing.T) {
 	}
 }
 
-// TestPurgeNetwork checks purging drops a network's completed results (they
-// re-simulate afterward) without touching other networks' entries.
-func TestPurgeNetwork(t *testing.T) {
-	eng := NewEngine(2)
-	ctx := context.Background()
-	a := networks.AlexNet(32)
-	b := networks.AlexNet(64)
-	cfg := core.Config{Spec: gpu.TitanX(), Policy: core.VDNNConv, Algo: core.MemOptimal}
-	if _, err := eng.Run(ctx, a, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Run(ctx, b, cfg); err != nil {
-		t.Fatal(err)
-	}
-	eng.PurgeNetwork(a)
-	if _, err := eng.Run(ctx, b, cfg); err != nil {
-		t.Fatal(err)
-	}
-	st := eng.Stats()
-	if st.Simulations != 2 || st.Hits != 1 {
-		t.Fatalf("other network's entry purged too (stats %+v)", st)
-	}
-	if _, err := eng.Run(ctx, a, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if st := eng.Stats(); st.Simulations != 3 {
-		t.Errorf("purged network's result still served from cache (stats %+v)", st)
-	}
-}
-
 // gatePolicy records how many simulations overlap.
 type gatePolicy struct {
 	namedPolicy

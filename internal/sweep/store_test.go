@@ -3,8 +3,11 @@ package sweep
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
+	"weak"
 
 	"vdnn/internal/core"
 	"vdnn/internal/dnn"
@@ -70,6 +73,42 @@ func TestStoreWarmStart(t *testing.T) {
 		if !reflect.DeepEqual(cold[i], warm[i]) {
 			t.Errorf("job %d: store-served result differs from simulated one", i)
 		}
+	}
+}
+
+// TestEngineReleasesNetwork checks that neither the engine's cache nor the
+// store behind it keeps a network alive: both key on the network's
+// structural identity, so a dropped network is collected while its result
+// stays cached, and a rebuild of it is a cache hit.
+func TestEngineReleasesNetwork(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	e := NewEngine(1)
+	e.SetStore(st)
+	ctx := context.Background()
+	cfg := core.Config{Spec: gpu.TitanX(), Policy: core.VDNNConv, Algo: core.MemOptimal}
+	wp := func() weak.Pointer[dnn.Network] {
+		net := networks.AlexNet(32)
+		if _, err := e.Run(ctx, net, cfg); err != nil {
+			t.Fatal(err)
+		}
+		return weak.Make(net)
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for wp.Value() != nil {
+		if time.Now().After(deadline) {
+			t.Fatal("a network whose result is cached is still reachable")
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if _, err := e.Run(ctx, networks.AlexNet(32), cfg); err != nil {
+		t.Fatal(err)
+	}
+	if s := e.Stats(); s.Simulations != 1 || s.Hits != 1 {
+		t.Errorf("rebuilt network missed the cache: %+v", s)
 	}
 }
 

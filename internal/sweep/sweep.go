@@ -33,6 +33,7 @@ package sweep
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"hash/maphash"
@@ -51,20 +52,20 @@ type Job struct {
 	Cfg core.Config
 }
 
-// key identifies a simulation. The network is keyed by identity (callers
-// memoize network construction; building the same architecture twice yields
-// distinct graphs that are free to diverge), the configuration by its
-// normalized value. A custom policy is keyed by its Name — the OffloadPolicy
-// contract — which keeps the key comparable whatever the policy's dynamic
-// type is made of.
+// key identifies a simulation. The network is keyed by the digest of its
+// structural identity (dnn.Network.Identity, which the persistent store keys
+// on too), the configuration by its normalized value. A custom policy is
+// keyed by its Name — the OffloadPolicy contract — which keeps the key
+// comparable whatever the policy's dynamic type is made of.
 type key struct {
-	net    *dnn.Network
+	net    [sha256.Size]byte
 	cfg    core.Config
 	policy string
 }
 
 func keyOf(net *dnn.Network, cfg core.Config) key {
-	k := key{net: net, cfg: cfg.WithDefaults()}
+	_, digest := net.Identity()
+	k := key{net: digest, cfg: cfg.WithDefaults()}
 	if cfg.Custom != nil {
 		k.policy = cfg.Custom.Name()
 		k.cfg.Custom = nil
@@ -308,47 +309,6 @@ func (e *Engine) Stats() Stats {
 	}
 }
 
-// PurgeNetwork drops every cached result keyed by the given network
-// instance — structure entries included — along with the network's memoized
-// derived data in package dnn. Callers that evict a network from their own
-// memoization use it so results keyed by the dead identity — unreachable by
-// any future request — do not pin the graph forever in an unbounded cache.
-// An in-flight entry finishes normally for its waiters and is then deleted
-// asynchronously.
-func (e *Engine) PurgeNetwork(net *dnn.Network) {
-	for i := range e.shards {
-		sh := &e.shards[i]
-		sh.mu.Lock()
-		for k, ent := range sh.cache {
-			if k.net != net {
-				continue
-			}
-			select {
-			case <-ent.done:
-				delete(sh.cache, k)
-				e.count.Add(-1)
-				e.stats.evictions.Add(1)
-			default:
-				// Still running: collect it once it completes, or the
-				// dead-keyed result would survive forever in an unbounded
-				// cache.
-				go func(sh *shard, k key, ent *entry) {
-					<-ent.done
-					sh.mu.Lock()
-					if sh.cache[k] == ent {
-						delete(sh.cache, k)
-						e.count.Add(-1)
-						e.stats.evictions.Add(1)
-					}
-					sh.mu.Unlock()
-				}(sh, k, ent)
-			}
-		}
-		sh.mu.Unlock()
-	}
-	dnn.PurgeDerived(net)
-}
-
 // evictLocked drops oldest completed entries until the cache fits the bound
 // again (leaving room for one insertion). Called with e.evmu held and no
 // shard mutex held. The common case — the oldest entry has completed — is an
@@ -584,8 +544,8 @@ func (e *Engine) resolve(ctx context.Context, net *dnn.Network, custom core.Offl
 				}
 			}()
 			// Read through the persistent store before simulating. A stored
-			// result is exact — keys are normalized configs plus the network's
-			// structural fingerprint — so a hit is not a simulation: it fires
+			// result is exact — the store keys on the same network identity
+			// and normalized config — so a hit is not a simulation: it fires
 			// no chaos hook and does not count toward Stats.Simulations, which
 			// is what lets a restarted daemon serve a repeated sweep with zero
 			// re-simulations. Structure keys are exempt: their entries carry

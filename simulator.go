@@ -42,7 +42,7 @@ type netKey struct {
 }
 
 // netCacheBound caps the memoized benchmark networks (FIFO eviction). An
-// evicted network only costs future result-cache misses for that pair.
+// evicted network only costs a rebuild for that pair.
 const netCacheBound = 1024
 
 // SimulatorOption configures NewSimulator.
@@ -129,12 +129,9 @@ func NewSimulator(opts ...SimulatorOption) *Simulator {
 }
 
 // Network returns a memoized benchmark network for (name, batch), building
-// it on first use (same names as BuildNetwork). Results are cached by
-// network IDENTITY, so a caller that rebuilds the network per request gets
-// zero cache hits; Network hands every caller of one simulator the same
-// instance, which is what makes repeated and concurrent requests for one
-// (network, configuration) pair collapse onto one simulation. The serving
-// daemon and the sweep CLIs resolve their requests through it.
+// it on first use (same names as BuildNetwork), so repeated requests skip
+// the build. The serving daemon and the sweep CLIs resolve their requests
+// through it.
 func (s *Simulator) Network(name string, batch int) (*Network, error) {
 	k := netKey{name: name, batch: batch}
 	s.mu.Lock()
@@ -149,11 +146,6 @@ func (s *Simulator) Network(name string, batch int) (*Network, error) {
 	if len(s.netOrder) >= netCacheBound {
 		oldest := s.netOrder[0]
 		s.netOrder = s.netOrder[1:]
-		// Purge the evicted network's cached results too: a future request
-		// for the pair builds a fresh instance, so results keyed by the old
-		// identity could never be hit again and would otherwise pin the
-		// dead graph in an unbounded result cache forever.
-		s.eng.PurgeNetwork(s.nets[oldest])
 		delete(s.nets, oldest)
 	}
 	s.nets[k] = n

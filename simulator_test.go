@@ -3,6 +3,7 @@ package vdnn_test
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 
 	"vdnn"
@@ -80,7 +81,7 @@ func TestSimulatorNetworkMemo(t *testing.T) {
 	if _, err := sim.Network("nope", 32); err == nil {
 		t.Error("unknown name accepted")
 	}
-	// Identity-stable networks are what make repeat requests cache hits.
+	// A repeat request through the memoized network is a cache hit.
 	cfg := vdnn.Config{Spec: vdnn.TitanX(), Policy: vdnn.VDNNConv, Algo: vdnn.MemOptimal}
 	if _, err := sim.Run(context.Background(), a, cfg); err != nil {
 		t.Fatal(err)
@@ -91,6 +92,55 @@ func TestSimulatorNetworkMemo(t *testing.T) {
 	}
 	if st := sim.Stats(); st.Simulations != 1 || st.Hits != 1 {
 		t.Errorf("memoized network did not produce a cache hit (stats %+v)", st)
+	}
+}
+
+// TestSimulatorRebuiltNetworkHits checks that results are keyed on a
+// network's structure, not on the instance: a rebuilt network is a cache
+// hit, and a same-named network of a different structure is a miss.
+func TestSimulatorRebuiltNetworkHits(t *testing.T) {
+	sim := vdnn.NewSimulator()
+	ctx := context.Background()
+	cfg := vdnn.Config{Spec: vdnn.TitanX(), Policy: vdnn.VDNNConv, Algo: vdnn.MemOptimal}
+	first, err := sim.Run(ctx, vdnn.AlexNet(32), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := sim.Run(ctx, vdnn.AlexNet(32), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != first {
+		t.Error("rebuilt network was not served the cached result")
+	}
+	if st := sim.Stats(); st.Simulations != 1 || st.Hits != 1 {
+		t.Errorf("rebuilt network: stats %+v, want 1 simulation and 1 hit", st)
+	}
+
+	// Same name, different layers; then same name and layers, different
+	// input (the first conv's output shape is 55x55 for all three inputs).
+	tiny := func(c, hw int) *vdnn.Network {
+		b := vdnn.NewBuilder(vdnn.AlexNet(32).Name, 32, vdnn.Float32)
+		x := b.Input(c, hw, hw)
+		x = b.Conv(x, "conv1", 64, 11, 4, 2)
+		x = b.ReLU(x, "relu1")
+		x = b.FC(x, "fc", 10)
+		b.SoftmaxLoss(x, "loss")
+		return b.MustFinalize()
+	}
+	seen := []*vdnn.Result{first}
+	for i, n := range []*vdnn.Network{tiny(3, 224), tiny(1, 224), tiny(3, 225)} {
+		r, err := sim.Run(ctx, n, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if slices.Contains(seen, r) {
+			t.Errorf("network %d (input %v) was served another network's result", i, n.Input.Shape)
+		}
+		seen = append(seen, r)
+		if st := sim.Stats(); st.Simulations != int64(2+i) {
+			t.Errorf("network %d (input %v): stats %+v, want %d simulations", i, n.Input.Shape, st, 2+i)
+		}
 	}
 }
 

@@ -348,10 +348,8 @@ func BenchmarkAllocatorChurn(b *testing.B) {
 	}
 }
 
-// BenchmarkConvCostModel measures the cuDNN cost model as simulations see
-// it: the first iteration evaluates the roofline, the rest hit the
-// (spec, geometry, algo, direction) memo — so this tracks the memoized hot
-// path, not the uncached evaluation.
+// BenchmarkConvCostModel measures the cuDNN cost model as simulations call
+// it: one roofline evaluation per (geometry, algorithm) pair.
 func BenchmarkConvCostModel(b *testing.B) {
 	spec := gpu.TitanX()
 	g := cudnnsim.ConvGeom{N: 128, C: 64, H: 224, W: 224, K: 64, R: 3, S: 3,

@@ -248,17 +248,16 @@
 // single-device simulation is capacity-independent apart from allocation
 // failure, so sweep points that differ only in device memory share one
 // structure — the simulated timeline plus the recorded allocator call
-// sequence — and every further capacity is priced by replaying that trace
-// against a pool of the right size instead of re-simulating (roughly a 6x
-// end-to-end reduction on a capacity sweep, and exact: a priced Result is
-// deeply equal to the full simulation's, untrainable points included). A
-// configuration's first sweep point doubles as its structure build, so the
-// mechanism costs nothing when nothing is shared. Shapes whose simulation
-// does depend on capacity — vDNN-dyn, greedy algorithm selection, custom
-// policies, multi-device and pipeline runs — automatically take the full
-// path; WithFullSimulation disables the mechanism entirely (the
-// verification mode the equivalence tests compare against), and Stats
-// reports the structure/priced/hit split.
+// sequence — built once per configuration at oracle capacity. Every sweep
+// point is then priced by replaying that trace against a pool of the right
+// size instead of re-simulating (roughly a 6x end-to-end reduction on a
+// capacity sweep, and exact: a priced Result is deeply equal to the full
+// simulation's, untrainable points included), at the cost of one allocator
+// replay per point. Shapes whose simulation does depend on capacity —
+// vDNN-dyn, greedy algorithm selection, custom policies, multi-device and
+// pipeline runs — automatically take the full path; WithFullSimulation
+// disables the mechanism entirely (the verification mode the equivalence
+// tests compare against), and Stats reports the structure/priced/hit split.
 //
 // For profiling, cmd/vdnn-repro and cmd/vdnn-explore take -cpuprofile and
 // -memprofile flags, and cmd/vdnn-serve serves net/http/pprof on a

@@ -108,14 +108,15 @@ func BuildStructure(ctx context.Context, net *dnn.Network, cfg Config) (*Structu
 	return &Structure{Res: res, trace: tr}, nil
 }
 
-// Price evaluates cfg — the structure's configuration at a real device
+// Price evaluates cfg — the structure's configuration at any device
 // capacity — by replaying the recorded allocator trace. The bool reports
 // whether pricing applied; false means the caller must run the full path
 // (the classifier-exceeds-capacity report needs the real failure chain).
-// When pricing applies, the Result is byte-identical to runStatic's: the
-// structure's Result with the Oracle flag patched on success, or — when the
-// replay proves the point untrainable — the real attempt's exact failure
-// wrapped around the structure's demand report.
+// When pricing applies, the Result is byte-identical to runStatic's: a copy
+// of the structure's Result for an oracle request or a successful replay
+// (Oracle flag patched), or — when the replay proves the point untrainable —
+// the real attempt's exact failure wrapped around the structure's demand
+// report.
 func (s *Structure) Price(ctx context.Context, net *dnn.Network, cfg Config) (*Result, bool, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -124,6 +125,13 @@ func (s *Structure) Price(ctx context.Context, net *dnn.Network, cfg Config) (*R
 		return nil, false, canceled(ctx)
 	}
 	cfg = cfg.WithDefaults()
+	if cfg.Oracle {
+		// The structure's Result is exactly an oracle run's at any capacity;
+		// copy it so a caller patching its Result cannot corrupt the
+		// shared structure.
+		r := *s.Res
+		return &r, true, nil
+	}
 	// The framework (classifier) memory is allocated before the pool is
 	// sized and never grows afterward, so the structure's FrameworkBytes is
 	// exactly the fw.Used() the real run would subtract from the spec.
@@ -168,63 +176,6 @@ func (s *Structure) Price(ctx context.Context, net *dnn.Network, cfg Config) (*R
 		}
 	}
 	return &r, true, nil
-}
-
-// BuildStructureAt simulates cfg at its configured device capacity while
-// recording the allocator trace, yielding the sweep point's own Result and
-// the capacity-independent Structure from a single simulation — for a
-// trainable point the structure comes free with the first sweep point
-// instead of costing a separate oracle run, because the simulation of a
-// structure-shaped configuration is identical at every capacity it trains
-// under. When the point is untrainable at its capacity the failure cuts the
-// trace short, so the structure is built at oracle capacity instead —
-// exactly the hypothetical-demand rerun runStatic would pay anyway — and
-// the Result is the same untrainable report runStatic produces. cfg must be
-// structure-shaped and valid, with Oracle unset.
-func BuildStructureAt(ctx context.Context, net *dnn.Network, cfg Config) (*Structure, *Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if ctx.Err() != nil {
-		return nil, nil, canceled(ctx)
-	}
-	cfg = cfg.WithDefaults()
-	pol, err := validateConfig(net, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	if !StructureShaped(cfg) || cfg.Oracle {
-		return nil, nil, fmt.Errorf("core: policy %q is not structure-shaped at a real capacity", pol.Name())
-	}
-	plan, err := buildPlan(net, cfg, pol)
-	if err != nil {
-		return nil, nil, err
-	}
-	tr := &memalloc.Trace{}
-	res, runErr := execute(withAllocTrace(ctx, tr), net, cfg, pol, plan)
-	if runErr == nil {
-		oracle := *res
-		oracle.Oracle = true
-		return &Structure{Res: &oracle, trace: tr}, res, nil
-	}
-	if errors.Is(runErr, ErrCanceled) {
-		return nil, nil, runErr
-	}
-	st, err := BuildStructure(ctx, net, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	r := *st.Res
-	r.Oracle = cfg.Oracle
-	r.Trainable = false
-	r.FailReason = runErr.Error()
-	if cfg.Debug {
-		var af *AllocFailure
-		if errors.As(runErr, &af) {
-			r.DebugFreeSpans = af.FreeSpans
-		}
-	}
-	return st, &r, nil
 }
 
 // allocTraceKey carries a *memalloc.Trace through execute's context to the

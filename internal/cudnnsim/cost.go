@@ -75,22 +75,9 @@ func gemmTraffic(spec gpu.Spec, m, kd, nd, elemSize int64) int64 {
 	return ta + tb + c
 }
 
-// ConvCost returns the cost of one convolution kernel. Evaluations are
-// memoized by (spec, geometry, algorithm, direction): repeated layers and
-// repeated configurations of a sweep hit the cache instead of re-running the
-// roofline model. Safe for concurrent use.
+// ConvCost returns the cost of one convolution kernel. The roofline model is
+// pure and cheap, so every call evaluates it.
 func ConvCost(spec gpu.Spec, g ConvGeom, a ConvAlgo, dir Direction) Cost {
-	k := costKey{newSpecKey(spec), g, a, dir}
-	if c, ok := costMemo.Load(k); ok {
-		return c.(Cost)
-	}
-	c := convCost(spec, g, a, dir)
-	costMemo.Store(k, c)
-	return c
-}
-
-// convCost is the uncached roofline evaluation.
-func convCost(spec gpu.Spec, g ConvGeom, a ConvAlgo, dir Direction) Cost {
 	if !a.Supported(g, dir) {
 		panic("cudnnsim: ConvCost on unsupported algorithm " + a.String())
 	}

@@ -133,41 +133,55 @@ func TestDifferentialUntrainableExact(t *testing.T) {
 }
 
 // TestDifferentialStructureStats checks the bookkeeping of the differential
-// split on a clean capacity column: the first capacity doubles as the
-// structure build (it simulates at its own capacity, recording the trace),
-// every later capacity is priced from it, and a repeat request is a plain
-// cache hit that builds and prices nothing new.
+// split on a clean capacity column: one oracle structure is built, every
+// capacity — the first included — is priced from it, and a repeat request is
+// a plain cache hit that builds and prices nothing new. The same column run
+// as one parallel batch on a fresh engine must keep the same counts: its
+// points race for the structure key and coalesce onto one build.
 func TestDifferentialStructureStats(t *testing.T) {
 	net := networks.AlexNet(128)
-	eng := NewEngine(1)
 	ctx := context.Background()
 	caps := []int64{2 << 30, 4 << 30, 8 << 30, 12 << 30}
-	for _, c := range caps {
-		cfg := core.Config{Spec: gpu.TitanX().WithMemory(c), Policy: core.VDNNConv, Algo: core.PerfOptimal}
-		if _, err := eng.Run(ctx, net, cfg); err != nil {
+	jobs := make([]Job, len(caps))
+	for i, c := range caps {
+		jobs[i] = Job{Net: net, Cfg: core.Config{Spec: gpu.TitanX().WithMemory(c), Policy: core.VDNNConv, Algo: core.PerfOptimal}}
+	}
+	check := func(name string, st Stats) {
+		t.Helper()
+		if st.Structures != 1 {
+			t.Errorf("%s: structures = %d, want 1 shared across %d capacities (stats %+v)", name, st.Structures, len(caps), st)
+		}
+		if st.Priced != int64(len(caps)) {
+			t.Errorf("%s: priced = %d, want %d — every capacity priced from the structure (stats %+v)", name, st.Priced, len(caps), st)
+		}
+		if st.Simulations != int64(len(caps)) {
+			t.Errorf("%s: simulations = %d, want %d top-level computations (stats %+v)", name, st.Simulations, len(caps), st)
+		}
+	}
+
+	eng := NewEngine(1)
+	for _, j := range jobs {
+		if _, err := eng.Run(ctx, j.Net, j.Cfg); err != nil {
 			t.Fatal(err)
 		}
 	}
 	st := eng.Stats()
-	if st.Structures != 1 {
-		t.Errorf("structures = %d, want 1 shared across %d capacities (stats %+v)", st.Structures, len(caps), st)
-	}
-	if st.Priced != int64(len(caps)-1) {
-		t.Errorf("priced = %d, want %d — every capacity after the structure-building first (stats %+v)", st.Priced, len(caps)-1, st)
-	}
-	if st.Simulations != int64(len(caps)) {
-		t.Errorf("simulations = %d, want %d top-level computations (stats %+v)", st.Simulations, len(caps), st)
-	}
+	check("sequential", st)
 	// Repeat: pure hits, nothing recomputed.
-	for _, c := range caps {
-		cfg := core.Config{Spec: gpu.TitanX().WithMemory(c), Policy: core.VDNNConv, Algo: core.PerfOptimal}
-		if _, err := eng.Run(ctx, net, cfg); err != nil {
+	for _, j := range jobs {
+		if _, err := eng.Run(ctx, j.Net, j.Cfg); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if st2 := eng.Stats(); st2.Structures != st.Structures || st2.Priced != st.Priced || st2.Simulations != st.Simulations {
 		t.Errorf("repeat requests recomputed work: before %+v after %+v", st, st2)
 	}
+
+	par := NewEngine(4)
+	if _, err := par.RunAll(ctx, jobs); err != nil {
+		t.Fatal(err)
+	}
+	check("4-worker batch", par.Stats())
 }
 
 // TestShardedCacheStress hammers the sharded cache from concurrent RunAll

@@ -14,9 +14,10 @@
 //   - context-aware scheduling: callers abandon waits on cancellation, and a
 //     batch stops dispatching new simulations once its context is done, and
 //   - differential evaluation: sweep points that share a capacity-independent
-//     structure (core.StructureShaped) are simulated once at oracle capacity
-//     and re-priced at each real capacity by replaying the recorded allocator
-//     trace — the same Results, a fraction of the work.
+//     structure (core.StructureShaped) resolve it as one singleflighted
+//     structure key, simulated once at oracle capacity, and every point is
+//     priced by replaying the recorded allocator trace at its own capacity —
+//     the same Results, a fraction of the work.
 //
 // The cache is sharded by key hash so concurrent hits on distinct keys do not
 // contend on one mutex; eviction bookkeeping stays global (FIFO order across
@@ -126,15 +127,14 @@ type Stats struct {
 	// counts once whether it ran a full simulation or was priced from a
 	// shared structure.
 	Simulations int64 `json:"simulations"`
-	// Structures is the number of capacity-independent structure builds —
-	// full simulations recorded for differential re-pricing (usually a
-	// configuration's first sweep point, simulated at its own capacity;
-	// oracle-capacity builds when that first point is untrainable or the
-	// request itself is an oracle run).
+	// Structures is the number of capacity-independent structure builds:
+	// oracle-capacity simulations recorded for differential pricing, one per
+	// structure-shaped configuration.
 	Structures int64 `json:"structures"`
-	// Priced is the number of results produced by replaying a structure's
-	// allocator trace instead of running a full simulation — the work the
-	// differential path avoided.
+	// Priced is the number of results produced from a structure — by
+	// replaying its allocator trace, or by copying its Result for an oracle
+	// request — instead of running a full simulation. Every sweep point of a
+	// structure-shaped configuration counts, its first included.
 	Priced int64 `json:"priced"`
 	// Hits is the number of requests served from a completed cache entry.
 	Hits int64 `json:"hits"`
@@ -601,38 +601,6 @@ func (e *Engine) compute(runCtx context.Context, net *dnn.Network, cfg core.Conf
 			e.stats.structures.Add(1)
 			ent.structure, ent.res = st, st.Res
 			return
-		} else if !cfg.Oracle {
-			// No structure cached yet? Then this request IS the structure
-			// build: run it at its own capacity with the trace recorded, so
-			// the first sweep point of a configuration costs one simulation
-			// and still leaves the structure behind for its siblings. A
-			// cached or in-flight structure takes the pricing path below
-			// instead, and a lost claim race just means another caller is
-			// building it — coalesce there.
-			sksh := e.shardOf(sk)
-			sksh.mu.Lock()
-			_, building := sksh.cache[sk]
-			sksh.mu.Unlock()
-			if !building {
-				skEnt := &entry{done: make(chan struct{}), refs: 1, cancel: func() {}}
-				if e.claim(sksh, sk, skEnt) {
-					res, err := e.buildStructureAt(runCtx, net, cfg, sksh, sk, skEnt)
-					if err == nil {
-						ent.res = res
-						return
-					}
-					if errors.Is(err, core.ErrCanceled) {
-						ent.err = err
-						return
-					}
-					// Any other failure falls through to the full path: it
-					// reproduces the error (or succeeds if the fault was
-					// transient) — a structure bug must never mask a real
-					// result.
-					ent.res, ent.err = e.runFull(runCtx, net, cfg)
-					return
-				}
-			}
 		}
 		if st, err := e.structureFor(runCtx, net, sk); err != nil && errors.Is(err, core.ErrCanceled) {
 			ent.err = err
@@ -642,15 +610,6 @@ func (e *Engine) compute(runCtx context.Context, net *dnn.Network, cfg core.Conf
 			// falls through to the full path instead: it reproduces the
 			// error (or succeeds if the fault was transient) — a structure
 			// bug must never mask a real result.
-			if cfg.Oracle {
-				// The structure's Result is exactly this oracle request's;
-				// clone so a caller patching its copy cannot corrupt the
-				// shared structure.
-				r := *st.Res
-				ent.res = &r
-				e.stats.priced.Add(1)
-				return
-			}
 			res, ok, perr := st.Price(runCtx, net, cfg)
 			if perr != nil {
 				ent.err = perr
@@ -669,41 +628,10 @@ func (e *Engine) compute(runCtx context.Context, net *dnn.Network, cfg core.Conf
 }
 
 // structureFor resolves a structure key — nested, under the caller's worker
-// slot.
+// slot, singleflighted like any other key.
 func (e *Engine) structureFor(ctx context.Context, net *dnn.Network, sk key) (*core.Structure, error) {
 	_, st, err := e.resolve(ctx, net, nil, sk, false)
 	return st, err
-}
-
-// buildStructureAt runs core.BuildStructureAt for cfg and finalizes the
-// claimed sk entry on every path — a panic must still close the entry (then
-// propagate to resolve's recovery for the requesting key), or every sibling
-// coalesced onto the structure would hang forever. The caller holds the
-// entry's initiating reference, so its cancel hook can be a no-op: the
-// build runs under the requesting key's runCtx and dies with it.
-func (e *Engine) buildStructureAt(runCtx context.Context, net *dnn.Network, cfg core.Config, sksh *shard, sk key, skEnt *entry) (res *core.Result, err error) {
-	var st *core.Structure
-	defer func() {
-		if r := recover(); r != nil {
-			skEnt.err = fmt.Errorf("sweep: simulation panic: %v", r)
-			close(skEnt.done)
-			e.uncache(sksh, sk, skEnt)
-			panic(r)
-		}
-		skEnt.structure, skEnt.err = st, err
-		if st != nil {
-			skEnt.res = st.Res
-		}
-		close(skEnt.done)
-		if skEnt.err != nil {
-			e.uncache(sksh, sk, skEnt)
-		}
-	}()
-	st, res, err = core.BuildStructureAt(runCtx, net, cfg)
-	if err == nil {
-		e.stats.structures.Add(1)
-	}
-	return res, err
 }
 
 // runFull runs the complete simulation for cfg, routing a profiling policy's

@@ -613,7 +613,7 @@ func runStatic(ctx context.Context, net *dnn.Network, cfg Config, pol OffloadPol
 	if err != nil {
 		return nil, err
 	}
-	res, runErr := execute(ctx, net, cfg, pol, plan)
+	res, runErr := execute(ctx, net, cfg, pol, plan, nil)
 	if runErr == nil {
 		return res, nil
 	}
@@ -625,7 +625,7 @@ func runStatic(ctx context.Context, net *dnn.Network, cfg Config, pol OffloadPol
 	// OOM: report the hypothetical demand on an oracular device.
 	oracleCfg := cfg
 	oracleCfg.Oracle = true
-	res, err = execute(ctx, net, oracleCfg, pol, plan)
+	res, err = execute(ctx, net, oracleCfg, pol, plan, nil)
 	if err != nil {
 		return nil, fmt.Errorf("core: oracle rerun failed: %w", err)
 	}
@@ -641,22 +641,18 @@ func runStatic(ctx context.Context, net *dnn.Network, cfg Config, pol OffloadPol
 	return res, nil
 }
 
-// profileSimulate builds the Simulate callback handed to a profiling policy:
-// one static candidate per call, (nil, nil) when the candidate cannot train.
-// An execution failure on an oracle-sized pool is never plain memory
+// profileSimulateWith builds the Simulate callback handed to a profiling
+// policy: one static candidate per call, (nil, nil) when the candidate cannot
+// train. An execution failure on an oracle-sized pool is never plain memory
 // oversubscription, so it propagates with its cause instead of reading as
 // "untrainable" — profilers lean on oracle runs for their fallback
 // diagnostics. The caller's context is bound into the callback, so a
 // canceled request aborts every profiling candidate too (a canceled
 // candidate propagates its error instead of reading as "untrainable").
-func profileSimulate(ctx context.Context, net *dnn.Network) Simulate {
-	return profileSimulateWith(ctx, net, nil)
-}
-
-// profileSimulateWith is profileSimulate with the candidate execution
-// optionally delegated to runSub (a runStatic-equivalent callback, usually a
-// cache front). The Simulate contract is translated either way: an
-// untrainable candidate reads as (nil, nil), and results served by runSub are
+//
+// The candidate execution is optionally delegated to runSub (a
+// runStatic-equivalent callback, usually a cache front). The Simulate
+// contract is translated either way, and results served by runSub are
 // cloned before the profiler mutates them (they may be cache-shared).
 func profileSimulateWith(ctx context.Context, net *dnn.Network, runSub Simulate) Simulate {
 	return func(sub Config) (*Result, error) {
@@ -686,7 +682,7 @@ func profileSimulateWith(ctx context.Context, net *dnn.Network, runSub Simulate)
 		if err != nil {
 			return nil, err
 		}
-		res, runErr := execute(ctx, net, sub, pol, plan)
+		res, runErr := execute(ctx, net, sub, pol, plan, nil)
 		if runErr != nil {
 			if errors.Is(runErr, ErrCanceled) {
 				return nil, runErr

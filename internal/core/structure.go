@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"vdnn/internal/dnn"
@@ -22,9 +21,13 @@ import (
 // capacity by replaying that trace — a pure allocator exercise, no
 // re-simulation — and reuses the structure's Result wholesale when the replay
 // succeeds. The replay's first failure is byte-for-byte the failure a full
-// simulation would hit, so untrainable points re-run the real attempt only to
-// reproduce the exact failure chain, and reuse the structure as the oracle
-// demand report runStatic would otherwise re-simulate.
+// simulation would hit, and the trace marks every allocation with its run
+// position (setup, or an iteration's input batch or a layer's forward or
+// backward pass), so an untrainable point is priced from the replay too: the
+// position rebuilds the exact failure chain, the replay pool supplies the
+// Debug free spans, and the structure is the oracle demand report runStatic
+// would re-simulate. Each configuration is simulated once, whatever its
+// capacities.
 //
 // Everything here is exact, never approximate: a priced Result is
 // reflect.DeepEqual to the full simulation's (the sweep engine's equivalence
@@ -101,7 +104,7 @@ func BuildStructure(ctx context.Context, net *dnn.Network, cfg Config) (*Structu
 		return nil, err
 	}
 	tr := &memalloc.Trace{}
-	res, err := execute(withAllocTrace(ctx, tr), net, cfg, pol, plan)
+	res, err := execute(ctx, net, cfg, pol, plan, tr)
 	if err != nil {
 		return nil, err
 	}
@@ -109,28 +112,22 @@ func BuildStructure(ctx context.Context, net *dnn.Network, cfg Config) (*Structu
 }
 
 // Price evaluates cfg — the structure's configuration at any device
-// capacity — by replaying the recorded allocator trace. The bool reports
-// whether pricing applied; false means the caller must run the full path
-// (the classifier-exceeds-capacity report needs the real failure chain).
-// When pricing applies, the Result is byte-identical to runStatic's: a copy
-// of the structure's Result for an oracle request or a successful replay
-// (Oracle flag patched), or — when the replay proves the point untrainable —
-// the real attempt's exact failure wrapped around the structure's demand
-// report.
+// capacity — by replaying the recorded allocator trace; it never simulates.
+// The bool reports whether pricing applied; false, when the classifier alone
+// exceeds the capacity, means the caller must run the full path for that
+// failure. When pricing applies, the Result is byte-identical to
+// runStatic's: a copy of the structure's Result for an oracle request or a
+// successful replay (Oracle flag patched), or — when the replay proves the
+// point untrainable — the structure's demand report carrying the run's exact
+// failure, rebuilt from the failing allocation's position (failAt).
 func (s *Structure) Price(ctx context.Context, net *dnn.Network, cfg Config) (*Result, bool, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if ctx.Err() != nil {
+	if ctx != nil && ctx.Err() != nil {
 		return nil, false, canceled(ctx)
 	}
 	cfg = cfg.WithDefaults()
+	r := *s.Res // a copy: a caller patching its Result cannot corrupt the structure
 	if cfg.Oracle {
-		// The structure's Result is exactly an oracle run's at any capacity;
-		// copy it so a caller patching its Result cannot corrupt the
-		// shared structure.
-		r := *s.Res
-		return &r, true, nil
+		return &r, true, nil // exactly an oracle run's Result at any capacity
 	}
 	// The framework (classifier) memory is allocated before the pool is
 	// sized and never grows afterward, so the structure's FrameworkBytes is
@@ -139,57 +136,15 @@ func (s *Structure) Price(ctx context.Context, net *dnn.Network, cfg Config) (*R
 	if realCap <= 0 {
 		return nil, false, nil
 	}
-	if err := s.trace.Replay(realCap); err == nil {
-		r := *s.Res
-		r.Oracle = cfg.Oracle
+	r.Oracle = false
+	f := s.trace.Replay(realCap)
+	if f == nil {
 		return &r, true, nil
 	}
-	// Untrainable at this capacity. The failure's error chain carries
-	// iteration/layer context the trace does not record, so run the real
-	// attempt once for the exact failure — and serve the structure as the
-	// oracle rerun runStatic would otherwise simulate a second time.
-	pol, err := cfg.policyImpl()
-	if err != nil {
-		return nil, false, nil
-	}
-	plan, err := buildPlan(net, cfg, pol)
-	if err != nil {
-		return nil, false, nil
-	}
-	res, runErr := execute(ctx, net, cfg, pol, plan)
-	if runErr == nil {
-		// The replay and the run disagree — impossible by construction, but
-		// the full run's result is authoritative either way.
-		return res, true, nil
-	}
-	if errors.Is(runErr, ErrCanceled) {
-		return nil, false, runErr
-	}
-	r := *s.Res
-	r.Oracle = cfg.Oracle
 	r.Trainable = false
-	r.FailReason = runErr.Error()
+	r.FailReason = failAt(net, f.Pos, &AllocFailure{Label: f.Err.Label, Err: f.Err}).Error()
 	if cfg.Debug {
-		var af *AllocFailure
-		if errors.As(runErr, &af) {
-			r.DebugFreeSpans = af.FreeSpans
-		}
+		r.DebugFreeSpans = f.FreeSpans
 	}
 	return &r, true, nil
-}
-
-// allocTraceKey carries a *memalloc.Trace through execute's context to the
-// single-device runtime's pool construction.
-type allocTraceKey struct{}
-
-func withAllocTrace(ctx context.Context, tr *memalloc.Trace) context.Context {
-	return context.WithValue(ctx, allocTraceKey{}, tr)
-}
-
-func allocTraceFrom(ctx context.Context) *memalloc.Trace {
-	if ctx == nil {
-		return nil
-	}
-	tr, _ := ctx.Value(allocTraceKey{}).(*memalloc.Trace)
-	return tr
 }

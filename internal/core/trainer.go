@@ -19,9 +19,10 @@ import (
 // runtimes on one shared timeline: one device is the 1×1 grid, data
 // parallelism the R×1 grid and a pipeline the 1×S grid. A done ctx aborts
 // the run at the next layer (or micro-batch) boundary with an
-// ErrCanceled-wrapping error.
-func execute(ctx context.Context, net *dnn.Network, cfg Config, pol OffloadPolicy, plan *Plan) (*Result, error) {
-	g, err := newGrid(ctx, net, cfg, pol, plan)
+// ErrCanceled-wrapping error. A non-nil tr records the allocator calls of a
+// one-device run (differential evaluation; structure.go).
+func execute(ctx context.Context, net *dnn.Network, cfg Config, pol OffloadPolicy, plan *Plan, tr *memalloc.Trace) (*Result, error) {
+	g, err := newGrid(ctx, net, cfg, pol, plan, tr)
 	if err != nil {
 		return nil, err
 	}
@@ -37,7 +38,7 @@ func execute(ctx context.Context, net *dnn.Network, cfg Config, pol OffloadPolic
 		}
 		winStart = g.tl.Now()
 		if err := step(); err != nil {
-			return nil, fmt.Errorf("iteration %d: %w", iter, err)
+			return nil, iterationErr(iter, err)
 		}
 	}
 	winEnd := g.tl.Now()
@@ -65,6 +66,7 @@ type grid struct {
 	tl    *sim.Timeline
 	chans []*sim.SharedChannel // root.down, root.up; none on dedicated links
 	rts   []*runtime
+	tr    *memalloc.Trace // a lone device's allocator trace, if recording
 
 	// member names a device in error text: "device" for replicas, "stage"
 	// for pipeline stages, empty for a lone device (whose errors stay
@@ -77,12 +79,12 @@ type grid struct {
 // on cfg.Devices replicas under the same plan, or cfg.Stages contiguous
 // stages, each under its own plan and split into cfg.MicroBatches
 // micro-batches. The devices share the node's host DRAM, so each gets an
-// even share of the pinned-memory budget.
-func newGrid(ctx context.Context, net *dnn.Network, cfg Config, pol OffloadPolicy, plan *Plan) (*grid, error) {
-	g := &grid{net: net, cfg: cfg, tl: sim.New(cfg.Spec.LaunchOverhead, cfg.Spec.SyncOverhead)}
+// even share of the pinned-memory budget. tr, which only a lone device may
+// record into, traces its pool.
+func newGrid(ctx context.Context, net *dnn.Network, cfg Config, pol OffloadPolicy, plan *Plan, tr *memalloc.Trace) (*grid, error) {
+	g := &grid{net: net, cfg: cfg, tl: sim.New(cfg.Spec.LaunchOverhead, cfg.Spec.SyncOverhead), tr: tr}
 	parts := []partition.Stage{{Lo: 0, Hi: len(net.Layers)}}
 	mbCount := 1
-	var tr *memalloc.Trace
 	switch {
 	case cfg.Stages > 1:
 		var err error
@@ -93,10 +95,6 @@ func newGrid(ctx context.Context, net *dnn.Network, cfg Config, pol OffloadPolic
 	case cfg.Devices > 1:
 		parts = slices.Repeat(parts, cfg.Devices)
 		g.member = "device"
-	default:
-		// Differential evaluation records the allocator calls of the one
-		// pool a lone device has (structure.go).
-		tr = allocTraceFrom(ctx)
 	}
 	var down, up *sim.SharedChannel
 	if cfg.Topology.Shared() {
@@ -140,6 +138,48 @@ func (g *grid) tag(i int, err error) error {
 	return fmt.Errorf("%s %d: %w", g.member, i, err)
 }
 
+// The passes of a training iteration that allocate, in issue order.
+const (
+	passInput = iota // the input batch (beginIteration)
+	passFwd
+	passBwd
+)
+
+// mark stamps the allocator trace, if the grid records one, with the run
+// position of the allocations issued next: 0 (a fresh trace's) is setup,
+// then come each iteration's input batch, every layer's forward pass and
+// every layer's backward pass. failAt decodes it. A position fits an int32
+// for any run shorter than 2^31 / (3 · layers) iterations.
+func (g *grid) mark(pass, layer int) {
+	if g.tr != nil {
+		g.tr.Mark(int32(1 + (g.rts[0].iter*3+pass)*len(g.net.Layers) + layer))
+	}
+}
+
+// failAt wraps an allocation failure at trace position pos in the error
+// chain a one-device execute returns for it.
+func failAt(net *dnn.Network, pos int32, err error) error {
+	if pos == 0 {
+		return err // setup is not part of any iteration
+	}
+	q, l := int(pos-1)/len(net.Layers), net.Layers[int(pos-1)%len(net.Layers)]
+	return iterationErr(q/3, passErr(q%3, l, err))
+}
+
+func iterationErr(iter int, err error) error { return fmt.Errorf("iteration %d: %w", iter, err) }
+
+// passErr prefixes err with the layer pass it happened in; the input batch
+// carries no layer.
+func passErr(pass int, l *dnn.Layer, err error) error {
+	switch pass {
+	case passFwd:
+		return fmt.Errorf("fwd %s: %w", l.Name, err)
+	case passBwd:
+		return fmt.Errorf("bwd %s: %w", l.Name, err)
+	}
+	return err
+}
+
 // stepLockstep drives one training step across the replicas in lockstep.
 // The host thread walks the layer sequence, issuing a layer's work on every
 // replica before performing the end-of-layer synchronizations — the paper's
@@ -147,6 +187,7 @@ func (g *grid) tag(i int, err error) error {
 // loop exactly. A ring all-reduce synchronizes the weight gradients before
 // the SGD updates run.
 func (g *grid) stepLockstep() error {
+	g.mark(passInput, 0)
 	for i, r := range g.rts {
 		if err := r.beginIteration(); err != nil {
 			return g.tag(i, err)
@@ -157,10 +198,11 @@ func (g *grid) stepLockstep() error {
 		if err := g.rts[0].checkCtx(); err != nil {
 			return err
 		}
+		g.mark(passFwd, l.ID)
 		for i, r := range g.rts {
 			p, err := r.issueForward(l)
 			if err != nil {
-				return g.tag(i, fmt.Errorf("fwd %s: %w", l.Name, err))
+				return g.tag(i, passErr(passFwd, l, err))
 			}
 			fp[i] = p
 		}
@@ -174,10 +216,11 @@ func (g *grid) stepLockstep() error {
 			return err
 		}
 		l := g.net.Layers[j]
+		g.mark(passBwd, j)
 		for i, r := range g.rts {
 			p, err := r.issueBackward(l)
 			if err != nil {
-				return g.tag(i, fmt.Errorf("bwd %s: %w", l.Name, err))
+				return g.tag(i, passErr(passBwd, l, err))
 			}
 			bp[i] = p
 		}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"vdnn/internal/sim"
 )
@@ -360,4 +361,12 @@ func TestNonPositiveCapacityPanics(t *testing.T) {
 		}
 	}()
 	New(0)
+}
+
+// TestTraceOpSize pins the recorded op at 56 bytes: the allocation's run
+// position must live in the padding after ref, not grow every trace.
+func TestTraceOpSize(t *testing.T) {
+	if n := unsafe.Sizeof(traceOp{}); n > 56 {
+		t.Errorf("traceOp is %d bytes, want <= 56", n)
+	}
 }

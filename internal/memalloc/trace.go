@@ -16,6 +16,12 @@ import "vdnn/internal/sim"
 // simulation would have succeeded with an identical timeline. That
 // equivalence is what lets the sweep engine price a capacity/batch sweep
 // point with one allocator replay instead of a whole re-simulation.
+//
+// A failed replay stands in for the failed run as well. Each recorded
+// allocation carries the position its caller marked (Mark) to say where in
+// the run it happened, and the replay pool's free ranges at the failure are
+// the ones the run's pool would have had, so the caller rebuilds the run's
+// exact error from the replay alone.
 
 type traceKind uint8
 
@@ -26,14 +32,16 @@ const (
 )
 
 // traceOp is one recorded pool call. For traceAlloc, ref is the index the
-// resulting block is registered under and size is the *unrounded* request;
-// for traceFree, ref names the block being freed.
+// resulting block is registered under, size is the *unrounded* request and
+// pos the position marked when it was made; for traceFree, ref names the
+// block being freed. pos fills what would otherwise be padding after ref.
 type traceOp struct {
 	op    traceKind
 	kind  Kind
 	t     sim.Time
 	size  int64
 	ref   int32
+	pos   int32
 	label string
 }
 
@@ -41,10 +49,17 @@ type traceOp struct {
 type Trace struct {
 	ops    []traceOp
 	blocks int32
+	pos    int32 // stamped on every allocation recorded from now on
 }
 
 // Len returns the number of recorded calls.
 func (tr *Trace) Len() int { return len(tr.ops) }
+
+// Mark sets the position recorded with every allocation that follows, until
+// the next Mark; a fresh trace is at position 0. Positions are opaque here:
+// the caller encodes where in its run the calls happen and decodes a replay
+// Failure's Pos.
+func (tr *Trace) Mark(pos int32) { tr.pos = pos }
 
 // NewTraced creates a pool that records every Alloc, Free and Flush into tr
 // in call order. The recorded sequence can be replayed against a different
@@ -58,7 +73,7 @@ func NewTraced(capacity int64, tr *Trace) *Pool {
 func (tr *Trace) recordAlloc(b *Block, t sim.Time, size int64, kind Kind, label string) {
 	b.seq = tr.blocks
 	tr.blocks++
-	tr.ops = append(tr.ops, traceOp{op: traceAlloc, kind: kind, t: t, size: size, ref: b.seq, label: label})
+	tr.ops = append(tr.ops, traceOp{op: traceAlloc, kind: kind, t: t, size: size, ref: b.seq, pos: tr.pos, label: label})
 }
 
 func (tr *Trace) recordFree(b *Block, t sim.Time) {
@@ -69,16 +84,23 @@ func (tr *Trace) recordFlush(t sim.Time) {
 	tr.ops = append(tr.ops, traceOp{op: traceFlush, t: t})
 }
 
+// Failure is a replay's first failing allocation: the position marked for
+// it, the *OOMError the pool returned (whose Label is the request's), and
+// the pool's free ranges right after the failure.
+type Failure struct {
+	Pos       int32
+	Err       *OOMError
+	FreeSpans [][2]int64
+}
+
 // Replay re-executes the recorded call sequence against a fresh pool of the
-// given capacity and returns the first allocation failure, or nil if every
-// call succeeds. Because the pool is a deterministic function of its call
-// sequence, a nil return proves a full simulation at this capacity would
-// make exactly these calls and succeed; a non-nil return is the *OOMError
-// that simulation's first failing allocation would produce.
-func (tr *Trace) Replay(capacity int64) error {
-	if capacity <= 0 {
-		return &OOMError{Need: 1, Capacity: capacity}
-	}
+// given capacity, which must be positive, and returns the first allocation
+// failure, or nil if every call succeeds. Because the pool is a
+// deterministic function of its call sequence, a nil return proves a full
+// simulation at this capacity would make exactly these calls and succeed; a
+// non-nil return is that simulation's first failing allocation, with the
+// error and free ranges its pool would have shown.
+func (tr *Trace) Replay(capacity int64) *Failure {
 	p := New(capacity)
 	p.metricsOff = true // the verdict needs no usage timeline
 	blocks := make([]*Block, tr.blocks)
@@ -88,7 +110,7 @@ func (tr *Trace) Replay(capacity int64) error {
 		case traceAlloc:
 			b, err := p.Alloc(o.t, o.size, o.kind, o.label)
 			if err != nil {
-				return err
+				return &Failure{Pos: o.pos, Err: err.(*OOMError), FreeSpans: p.FreeSpans()}
 			}
 			blocks[o.ref] = b
 		case traceFree:

@@ -4,9 +4,11 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"regexp"
 	"sync"
 	"testing"
 
+	"vdnn/internal/compress"
 	"vdnn/internal/core"
 	"vdnn/internal/gpu"
 	"vdnn/internal/networks"
@@ -18,30 +20,53 @@ import (
 // capacities. The grid deliberately includes ineligible shapes (vDNN-dyn,
 // greedy algorithm selection) and capacities on both sides of the
 // trainability threshold, so full-path fallback and the untrainable pricing
-// path are exercised alongside the happy path.
+// path are exercised alongside the happy path. The MiB rungs sit between
+// AlexNet(128)'s thresholds, so untrainable points fail in every place a run
+// can (see failPlaces): during setup, allocating the input batch, in a
+// forward pass and in a backward pass. Two small-batch points add a failing
+// weight prefetch and a failure in the second iteration.
 func capacitySweepJobs(t testing.TB) []Job {
 	t.Helper()
 	net := networks.AlexNet(128)
+	zvc := compress.Config{Codec: compress.CodecZVC}
 	var jobs []Job
-	for _, memGB := range []int64{1, 2, 4, 6, 8, 12} {
-		spec := gpu.TitanX().WithMemory(memGB << 30)
-		for _, pa := range []struct {
-			p core.Policy
-			a core.AlgoMode
-		}{
-			{core.Baseline, core.MemOptimal},
-			{core.Baseline, core.PerfOptimal},
-			{core.VDNNAll, core.MemOptimal},
-			{core.VDNNConv, core.PerfOptimal},
-			{core.VDNNAll, core.GreedyAlgo}, // ineligible: consults free space
-			{core.VDNNDyn, 0},               // ineligible: profiling cascade
+	for _, memMiB := range []int64{470, 500, 600, 700, 760, 930, 970, 1 << 10, 2 << 10, 4 << 10, 6 << 10, 8 << 10, 12 << 10} {
+		spec := gpu.TitanX().WithMemory(memMiB << 20)
+		for _, cfg := range []core.Config{
+			{Policy: core.Baseline, Algo: core.MemOptimal},
+			{Policy: core.Baseline, Algo: core.PerfOptimal},
+			{Policy: core.VDNNAll, Algo: core.MemOptimal},
+			{Policy: core.VDNNConv, Algo: core.PerfOptimal},
+			{Policy: core.VDNNAll, Algo: core.GreedyAlgo}, // ineligible: consults free space
+			{Policy: core.VDNNDyn},                        // ineligible: profiling cascade
+			{Policy: core.VDNNAll, Algo: core.MemOptimal, OffloadWeights: true},
+			{Policy: core.VDNNConv, Algo: core.PerfOptimal, Compression: zvc},
+			{Policy: core.Baseline, Algo: core.PerfOptimal, Debug: true},
+			{Policy: core.VDNNAll, Algo: core.PerfOptimal, Debug: true},
+			// Oracle points share the same structures as their real twins.
+			{Policy: core.VDNNAll, Algo: core.MemOptimal, Oracle: true},
 		} {
-			jobs = append(jobs, Job{Net: net, Cfg: core.Config{Spec: spec, Policy: pa.p, Algo: pa.a}})
+			cfg.Spec = spec
+			jobs = append(jobs, Job{Net: net, Cfg: cfg})
 		}
-		// Oracle points share the same structures as their real twins.
-		jobs = append(jobs, Job{Net: net, Cfg: core.Config{Spec: spec, Policy: core.VDNNAll, Algo: core.MemOptimal, Oracle: true}})
 	}
-	return jobs
+	return append(jobs,
+		Job{Net: networks.AlexNet(1), Cfg: core.Config{Spec: gpu.TitanX().WithMemory(490_500_000),
+			Policy: core.VDNNAll, Algo: core.MemOptimal, OffloadWeights: true, Debug: true}},
+		Job{Net: networks.AlexNet(8), Cfg: core.Config{Spec: gpu.TitanX().WithMemory(510_000_000),
+			Policy: core.VDNNConv, Algo: core.MemOptimal, OffloadWeights: true, Prefetch: core.PrefetchNone}},
+	)
+}
+
+// failPlaces names the places in a run an allocation can fail, by the shape
+// of the failure chain.
+var failPlaces = map[string]*regexp.Regexp{
+	"setup":           regexp.MustCompile(`^allocating `),
+	"input batch":     regexp.MustCompile(`^iteration \d+: allocating input: `),
+	"forward pass":    regexp.MustCompile(`^iteration \d+: fwd \S+: allocating `),
+	"backward pass":   regexp.MustCompile(`^iteration \d+: bwd \S+: allocating `),
+	"weight prefetch": regexp.MustCompile(`^iteration \d+: bwd relu\d+: allocating conv\d+\.W: `), // one layer early: JIT
+	"iteration 1":     regexp.MustCompile(`^iteration 1: `),
 }
 
 // TestDifferentialEquivalence is the tentpole guarantee: every result the
@@ -66,19 +91,30 @@ func TestDifferentialEquivalence(t *testing.T) {
 		t.Fatalf("RunAll: %v", err)
 	}
 	var trainable, untrainable int
+	failed := map[string]bool{}
 	for i := range jobs {
 		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Errorf("job %d (%v %v, %d GB): differential result differs from full simulation",
-				i, jobs[i].Cfg.Policy, jobs[i].Cfg.Algo, jobs[i].Cfg.Spec.MemBytes>>30)
+			t.Errorf("job %d (%v %v, %d MiB): differential result differs from full simulation",
+				i, jobs[i].Cfg.Policy, jobs[i].Cfg.Algo, jobs[i].Cfg.Spec.MemBytes>>20)
 		}
 		if got[i].Trainable {
 			trainable++
-		} else {
-			untrainable++
+			continue
+		}
+		untrainable++
+		for place, re := range failPlaces {
+			if re.MatchString(want[i].FailReason) {
+				failed[place] = true
+			}
 		}
 	}
 	if trainable == 0 || untrainable == 0 {
 		t.Fatalf("sweep did not cross the trainability threshold (trainable=%d untrainable=%d): the untrainable pricing path went untested", trainable, untrainable)
+	}
+	for place := range failPlaces {
+		if !failed[place] {
+			t.Errorf("no untrainable point fails in the %s: that failure chain went untested", place)
+		}
 	}
 
 	st := eng.Stats()

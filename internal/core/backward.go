@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 
 	"vdnn/internal/cudnnsim"
 	"vdnn/internal/dnn"
@@ -43,11 +44,11 @@ func (e *runtime) prefetchBuffers(label string, bufs []*dnn.Tensor) ([]*sim.Op, 
 		if !bs.offloaded {
 			continue
 		}
-		b, err := e.alloc(e.mbShare(t.Bytes(e.net.DType)), memalloc.KindFeatureMap, fmt.Sprintf("fm%d", t.ID))
+		b, err := e.alloc(e.mbShare(t.Bytes(e.net.DType)), memalloc.KindFeatureMap, "fm"+strconv.Itoa(t.ID))
 		if err != nil {
 			return nil, err
 		}
-		op := e.prefetchCompressed(fmt.Sprintf("PRE:%s(fm%d)", label, t.ID), t, e.mbShare(t.Bytes(e.net.DType)))
+		op := e.prefetchCompressed("PRE:"+label+"(fm"+strconv.Itoa(t.ID)+")", t, e.mbShare(t.Bytes(e.net.DType)))
 		bs.block = b
 		bs.offloaded = false
 		bs.lastWrite = op
@@ -62,7 +63,7 @@ func (e *runtime) prefetchBuffers(label string, bufs []*dnn.Tensor) ([]*sim.Op, 
 // tests).
 func (e *runtime) fetchOnDemand(t *dnn.Tensor) error {
 	bs := e.buf[t]
-	b, err := e.alloc(e.mbShare(t.Bytes(e.net.DType)), memalloc.KindFeatureMap, fmt.Sprintf("fm%d", t.ID))
+	b, err := e.alloc(e.mbShare(t.Bytes(e.net.DType)), memalloc.KindFeatureMap, "fm"+strconv.Itoa(t.ID))
 	if err != nil {
 		return err
 	}
@@ -71,7 +72,7 @@ func (e *runtime) fetchOnDemand(t *dnn.Tensor) error {
 	// compute drains and the next kernel waits on it (the serialization the
 	// paper's Section III-A describes) — decompression included when the
 	// buffer went out compressed.
-	op := e.prefetchCompressed(fmt.Sprintf("FETCH(fm%d)", t.ID), t, e.mbShare(t.Bytes(e.net.DType)), e.dev.StreamCompute.Last())
+	op := e.prefetchCompressed("FETCH(fm"+strconv.Itoa(t.ID)+")", t, e.mbShare(t.Bytes(e.net.DType)), e.dev.StreamCompute.Last())
 	e.dev.TL.Wait(op)
 	bs.block = b
 	bs.offloaded = false
@@ -91,7 +92,7 @@ func (e *runtime) ensureGrad(root *dnn.Tensor) (*memalloc.Block, error) {
 	if gi == nil {
 		return nil, fmt.Errorf("core: no gradient info for fm%d", root.ID)
 	}
-	b, err := e.alloc(e.mbShare(gi.Bytes), memalloc.KindGradMap, fmt.Sprintf("grad%d", root.ID))
+	b, err := e.alloc(e.mbShare(gi.Bytes), memalloc.KindGradMap, "grad"+strconv.Itoa(root.ID))
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 
 	"vdnn/internal/cudnnsim"
 	"vdnn/internal/dnn"
@@ -38,7 +39,7 @@ func (e *runtime) issueForward(l *dnn.Layer) (fwdPending, error) {
 				return p, err
 			}
 			bs := e.buf[t]
-			op := e.offloadCompressed(fmt.Sprintf("%s(fm%d)", l.Name, t.ID), t, e.mbShare(t.Bytes(d)), bs.lastWrite)
+			op := e.offloadCompressed(l.Name+"(fm"+strconv.Itoa(t.ID)+")", t, e.mbShare(t.Bytes(d)), bs.lastWrite)
 			p.offOps = append(p.offOps, op)
 			p.offBufs = append(p.offBufs, t)
 			e.lay[l.ID].offloaded = true
@@ -70,7 +71,7 @@ func (e *runtime) issueForward(l *dnn.Layer) (fwdPending, error) {
 	// classifier buffers are network-wide).
 	out := e.buf[l.Output]
 	if !l.InPlace && out.block == nil {
-		b, err := e.alloc(e.mbShare(l.Output.Bytes(d)), memalloc.KindFeatureMap, fmt.Sprintf("fm%d", l.Output.ID))
+		b, err := e.alloc(e.mbShare(l.Output.Bytes(d)), memalloc.KindFeatureMap, "fm"+strconv.Itoa(l.Output.ID))
 		if err != nil {
 			return p, err
 		}
@@ -100,13 +101,14 @@ func (e *runtime) issueForward(l *dnn.Layer) (fwdPending, error) {
 	st.FwdWSBytes = wsBytes
 
 	cost := e.mbCost(e.fwdCost(l, algos))
-	deps := make([]*sim.Op, 0, len(l.Inputs))
+	deps := e.fwdDeps[:0]
 	for _, t := range l.Inputs {
 		if e.buf[t].block == nil {
 			return p, fmt.Errorf("core: fwd input fm%d not resident", t.ID)
 		}
 		deps = append(deps, e.buf[t].lastWrite)
 	}
+	e.fwdDeps = deps
 	op := e.dev.Kernel("FWD:"+l.Name, cost.Dur, cost.Flops, cost.DRAMBytes, deps...)
 	e.buf[l.Output].lastWrite = op
 	e.recordFwd(l, st, cost, op, wsBytes)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 
 	"vdnn/internal/compress"
 	"vdnn/internal/cudnnsim"
@@ -297,7 +298,7 @@ func sendActivation(src, dst *runtime, b stageBoundary, mb int) error {
 	raw := src.mbShare(t.Bytes(d))
 	wire := raw
 	dep := bs.lastWrite
-	label := fmt.Sprintf("fm%d.mb%d", t.ID, mb)
+	label := "fm" + strconv.Itoa(t.ID) + ".mb" + strconv.Itoa(mb)
 	var cost compress.Cost
 	if b.compressed {
 		cost = b.codec.codec.Cost(raw, d.Size(), b.codec.sparsity, src.cfg.Spec.EffDRAMBps())
@@ -314,7 +315,7 @@ func sendActivation(src, dst *runtime, b stageBoundary, mb int) error {
 		last = dst.dev.Decompress("DEC:PPR:"+label, cost.Decompress, raw, recv)
 		dst.decompressTime += cost.Decompress
 	}
-	blk, err := dst.alloc(raw, memalloc.KindFeatureMap, fmt.Sprintf("fm%d", t.ID))
+	blk, err := dst.alloc(raw, memalloc.KindFeatureMap, "fm"+strconv.Itoa(t.ID))
 	if err != nil {
 		return err
 	}
@@ -340,7 +341,7 @@ func installBoundaryGrad(rt *runtime, b stageBoundary, recv *sim.Op) error {
 	bs := rt.buf[b.t]
 	if bs.gradBlock == nil {
 		gi := rt.gradInfos[b.t]
-		blk, err := rt.alloc(rt.mbShare(gi.Bytes), memalloc.KindGradMap, fmt.Sprintf("grad%d", b.t.ID))
+		blk, err := rt.alloc(rt.mbShare(gi.Bytes), memalloc.KindGradMap, "grad"+strconv.Itoa(b.t.ID))
 		if err != nil {
 			return err
 		}
@@ -360,7 +361,7 @@ func installBoundaryGrad(rt *runtime, b stageBoundary, recv *sim.Op) error {
 func sendGradient(src, dst *runtime, b stageBoundary, mb int) *sim.Op {
 	t := b.t
 	raw := src.mbShare(src.gradInfos[t].Bytes)
-	label := fmt.Sprintf("grad%d.mb%d", t.ID, mb)
+	label := "grad" + strconv.Itoa(t.ID) + ".mb" + strconv.Itoa(mb)
 	send := src.dev.StageSend("PPS:"+label, raw, src.arSend, src.dev.StreamCompute.Last())
 	recv := dst.dev.StageRecv("PPR:"+label, raw, dst.arRecv, send)
 	bs := src.buf[t]

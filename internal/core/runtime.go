@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"strconv"
 
 	"vdnn/internal/cudnnsim"
 	"vdnn/internal/dnn"
@@ -87,6 +88,10 @@ type runtime struct {
 	// stage's backward cannot start before its output gradient lands. Nil
 	// outside pipeline runs.
 	bwdExtraDep *sim.Op
+
+	// fwdDeps is issueForward's scratch for a kernel's input dependencies,
+	// reused across layers: the timeline copies deps into the op it issues.
+	fwdDeps []*sim.Op
 
 	// Inter-stage wire traffic counters (pipeline parallelism): bytes this
 	// stage sent to its successor and received from its neighbors, wire and
@@ -382,7 +387,7 @@ func (e *runtime) setupFramework() error {
 		if !isClassifierRoot(t) || !e.ownsTensor(t) {
 			continue
 		}
-		b, err := allocFW(t.Bytes(d), memalloc.KindFeatureMap, fmt.Sprintf("fm%d", t.ID))
+		b, err := allocFW(t.Bytes(d), memalloc.KindFeatureMap, "fm"+strconv.Itoa(t.ID))
 		if err != nil {
 			return err
 		}
@@ -394,7 +399,7 @@ func (e *runtime) setupFramework() error {
 		if !isClassifierRoot(root) || !e.ownsTensor(root) {
 			continue
 		}
-		b, err := allocFW(gi.Bytes, memalloc.KindGradMap, fmt.Sprintf("grad%d", root.ID))
+		b, err := allocFW(gi.Bytes, memalloc.KindGradMap, "grad"+strconv.Itoa(root.ID))
 		if err != nil {
 			return err
 		}
@@ -440,7 +445,7 @@ func (e *runtime) setup() error {
 		if isClassifierRoot(t) || !e.ownsTensor(t) {
 			continue // framework memory, or another stage's buffer
 		}
-		b, err := e.alloc(t.Bytes(d), memalloc.KindFeatureMap, fmt.Sprintf("fm%d", t.ID))
+		b, err := e.alloc(t.Bytes(d), memalloc.KindFeatureMap, "fm"+strconv.Itoa(t.ID))
 		if err != nil {
 			return err
 		}
@@ -458,7 +463,7 @@ func (e *runtime) setup() error {
 	}
 	slots := make([]*memalloc.Block, len(gplan.SlotBytes))
 	for i, sz := range gplan.SlotBytes {
-		b, err := e.alloc(sz, memalloc.KindGradMap, fmt.Sprintf("grad-slot%d", i))
+		b, err := e.alloc(sz, memalloc.KindGradMap, "grad-slot"+strconv.Itoa(i))
 		if err != nil {
 			return err
 		}
@@ -592,7 +597,7 @@ func (e *runtime) ensurePinned(t *dnn.Tensor) error {
 	if st.pinned != nil {
 		return nil
 	}
-	r, cost, err := e.host.AllocPinned(e.mbShare(t.Bytes(e.net.DType)), fmt.Sprintf("pin-fm%d", t.ID))
+	r, cost, err := e.host.AllocPinned(e.mbShare(t.Bytes(e.net.DType)), "pin-fm"+strconv.Itoa(t.ID))
 	if err != nil {
 		return err
 	}

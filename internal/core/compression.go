@@ -115,38 +115,40 @@ func buildCompression(net *dnn.Network, cfg Config, pol OffloadPolicy, offloaded
 // t under the plan. Pass-through (no codec, or an incompressible buffer)
 // returns (raw, zero cost).
 func (e *runtime) codecCost(t *dnn.Tensor, raw int64) compress.Cost {
-	d, ok := e.plan.Compression[t]
-	if !ok {
+	if e.codecs == nil || e.codecs[t.ID].codec == compress.CodecNone {
 		return compress.Cost{WireBytes: raw}
 	}
+	d := e.codecs[t.ID]
 	return d.codec.Cost(raw, e.net.DType.Size(), d.sparsity, e.cfg.Spec.EffDRAMBps())
 }
 
-// offloadCompressed launches one buffer's D2H transfer through the codec
-// path: a compression pass on the D2H DMA engine (when the codec shrinks the
-// buffer) feeding the wire-sized transfer. Returns the transfer op.
-func (e *runtime) offloadCompressed(label string, t *dnn.Tensor, raw int64, dep *sim.Op) *sim.Op {
+// offloadCompressed launches one buffer's D2H transfer, labeled by x,
+// through the codec path: a compression pass on the D2H DMA engine (when
+// the codec shrinks the buffer) feeding the wire-sized transfer. Returns the
+// transfer op.
+func (e *runtime) offloadCompressed(x *transferLabels, t *dnn.Tensor, raw int64, dep *sim.Op) *sim.Op {
 	c := e.codecCost(t, raw)
 	if c.WireBytes < raw {
-		dep = e.dev.Compress("CMP:"+label, c.Compress, raw, dep)
+		dep = e.dev.Compress(offloadCodecLabel(x), c.Compress, raw, dep)
 		e.compressTime += c.Compress
 	}
 	e.offRawBytes += raw
-	return e.dev.Offload("OFF:"+label, c.WireBytes, dep)
+	return e.dev.Offload(x.xfer, c.WireBytes, dep)
 }
 
-// prefetchCompressed launches one buffer's H2D transfer through the codec
-// path: the wire-sized transfer followed by a decompression pass on the H2D
-// DMA engine. The returned op is the one consumers must depend on — the
-// decompression when the buffer came back compressed, the transfer itself
-// otherwise — so backward kernels pay the expansion before use. deps order
-// the transfer itself (the on-demand path serializes behind queued compute).
-func (e *runtime) prefetchCompressed(label string, t *dnn.Tensor, raw int64, deps ...*sim.Op) *sim.Op {
+// prefetchCompressed launches one buffer's H2D transfer, labeled by x,
+// through the codec path: the wire-sized transfer followed by a
+// decompression pass on the H2D DMA engine. The returned op is the one
+// consumers must depend on — the decompression when the buffer came back
+// compressed, the transfer itself otherwise — so backward kernels pay the
+// expansion before use. deps order the transfer itself (the on-demand path
+// serializes behind queued compute).
+func (e *runtime) prefetchCompressed(x *transferLabels, t *dnn.Tensor, raw int64, deps ...*sim.Op) *sim.Op {
 	c := e.codecCost(t, raw)
 	e.preRawBytes += raw
-	op := e.dev.Prefetch(label, c.WireBytes, deps...)
+	op := e.dev.Prefetch(x.xfer, c.WireBytes, deps...)
 	if c.WireBytes < raw {
-		op = e.dev.Decompress("DEC:"+label, c.Decompress, raw, op)
+		op = e.dev.Decompress(prefetchCodecLabel(x), c.Decompress, raw, op)
 		e.decompressTime += c.Decompress
 	}
 	return op

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strconv"
 
 	"vdnn/internal/cudnnsim"
 	"vdnn/internal/dnn"
@@ -13,7 +12,8 @@ import (
 )
 
 // fwdPending is the in-flight state of one layer's forward pass between its
-// asynchronous issue and its end-of-layer synchronization.
+// asynchronous issue and its end-of-layer synchronization. Its slices are
+// the runtime's scratch: valid until the runtime's next issueForward.
 type fwdPending struct {
 	kernel  *sim.Op       // the layer's forward kernel
 	offOps  []*sim.Op     // offload transfers launched for this layer
@@ -27,28 +27,28 @@ type fwdPending struct {
 // device copies happen in finishForward, so a multi-replica driver can issue
 // the layer on every device before synchronizing any of them.
 func (e *runtime) issueForward(l *dnn.Layer) (fwdPending, error) {
-	var p fwdPending
+	p := fwdPending{offOps: e.offOps[:0], offBufs: e.offBufs[:0]}
 	st := &e.stats[l.ID]
 	d := e.net.DType
 
 	// 1. Launch offloads for buffers whose last consumer is this layer,
 	// plus — under the weight-offloading extension — this layer's weights.
 	if e.vdnnManaged() {
-		for _, t := range e.plan.OffloadAt[l.ID] {
+		for i, t := range e.plan.OffloadAt[l.ID] {
 			if err := e.ensurePinned(t); err != nil {
 				return p, err
 			}
-			bs := e.buf[t]
-			op := e.offloadCompressed(l.Name+"(fm"+strconv.Itoa(t.ID)+")", t, e.mbShare(t.Bytes(d)), bs.lastWrite)
+			bs := e.buf[t.ID]
+			op := e.offloadCompressed(e.offloadLabels(l, i), t, e.mbShare(t.Bytes(d)), bs.lastWrite)
 			p.offOps = append(p.offOps, op)
 			p.offBufs = append(p.offBufs, t)
 			e.lay[l.ID].offloaded = true
 			st.Offloaded = true
 			st.OffloadBytes += e.mbShare(t.Bytes(d))
 		}
-		if ws := e.wState[l]; ws != nil && e.offloadsWeights() && !ws.offloaded {
+		if ws := e.wState[l.ID]; ws != nil && e.offloadsWeights() && !ws.offloaded {
 			if ws.pinned == nil {
-				r, cost, err := e.host.AllocPinned(l.WeightBytes(d), l.Name+".W.pin")
+				r, cost, err := e.host.AllocPinned(l.WeightBytes(d), e.labels.Layers[l.ID].WeightsPin)
 				if err != nil {
 					return p, err
 				}
@@ -58,7 +58,7 @@ func (e *runtime) issueForward(l *dnn.Layer) (fwdPending, error) {
 			// The weights were last written by the previous iteration's SGD
 			// update; the transfer must order after it. Weights are dense, so
 			// they bypass the codec.
-			op := e.dev.Offload("OFF:"+l.Name+".W", l.WeightBytes(d), ws.lastWrite)
+			op := e.dev.Offload(e.labels.Layers[l.ID].OffloadW, l.WeightBytes(d), ws.lastWrite)
 			e.offRawBytes += l.WeightBytes(d)
 			p.offOps = append(p.offOps, op)
 			p.offW = ws
@@ -69,9 +69,9 @@ func (e *runtime) issueForward(l *dnn.Layer) (fwdPending, error) {
 
 	// 2. Allocate the output buffer (dynamic policies only; the baseline and
 	// classifier buffers are network-wide).
-	out := e.buf[l.Output]
+	out := e.buf[l.Output.ID]
 	if !l.InPlace && out.block == nil {
-		b, err := e.alloc(e.mbShare(l.Output.Bytes(d)), memalloc.KindFeatureMap, "fm"+strconv.Itoa(l.Output.ID))
+		b, err := e.alloc(e.mbShare(l.Output.Bytes(d)), memalloc.KindFeatureMap, e.labels.Tensors[l.Output.ID].FM)
 		if err != nil {
 			return p, err
 		}
@@ -88,7 +88,7 @@ func (e *runtime) issueForward(l *dnn.Layer) (fwdPending, error) {
 		g := l.ConvGeom(d)
 		wsBytes = algos.Fwd.Workspace(g, cudnnsim.Fwd)
 		if wsBytes > 0 && e.vdnnManaged() {
-			b, err := e.alloc(wsBytes, memalloc.KindWorkspace, l.Name+".ws")
+			b, err := e.alloc(wsBytes, memalloc.KindWorkspace, e.labels.Layers[l.ID].Workspace)
 			if err != nil {
 				return p, err
 			}
@@ -103,14 +103,15 @@ func (e *runtime) issueForward(l *dnn.Layer) (fwdPending, error) {
 	cost := e.mbCost(e.fwdCost(l, algos))
 	deps := e.fwdDeps[:0]
 	for _, t := range l.Inputs {
-		if e.buf[t].block == nil {
+		bs := e.buf[t.ID]
+		if bs.block == nil {
 			return p, fmt.Errorf("core: fwd input fm%d not resident", t.ID)
 		}
-		deps = append(deps, e.buf[t].lastWrite)
+		deps = append(deps, bs.lastWrite)
 	}
 	e.fwdDeps = deps
-	op := e.dev.Kernel("FWD:"+l.Name, cost.Dur, cost.Flops, cost.DRAMBytes, deps...)
-	e.buf[l.Output].lastWrite = op
+	op := e.dev.Kernel(e.labels.Layers[l.ID].Fwd, cost.Dur, cost.Flops, cost.DRAMBytes, deps...)
+	out.lastWrite = op
 	e.recordFwd(l, st, cost, op, wsBytes)
 	p.kernel = op
 
@@ -119,6 +120,7 @@ func (e *runtime) issueForward(l *dnn.Layer) (fwdPending, error) {
 		// because they serve kernels behind this one on stream_compute.
 		e.pool.Free(wsBlock, e.now())
 	}
+	e.offOps, e.offBufs = p.offOps, p.offBufs
 	return p, nil
 }
 
@@ -133,7 +135,7 @@ func (e *runtime) finishForward(p fwdPending) {
 		e.dev.TL.Wait(o)
 	}
 	for _, t := range p.offBufs {
-		bs := e.buf[t]
+		bs := e.buf[t.ID]
 		e.pool.Free(bs.block, e.now())
 		bs.block = nil
 		bs.offloaded = true
@@ -161,7 +163,7 @@ func (e *runtime) finishForwardAsync(p fwdPending) {
 		}
 	}
 	for _, t := range p.offBufs {
-		bs := e.buf[t]
+		bs := e.buf[t.ID]
 		e.pool.Free(bs.block, rel)
 		bs.block = nil
 		bs.offloaded = true
@@ -194,11 +196,6 @@ func (e *runtime) recordFwd(l *dnn.Layer, st *LayerStats, c cudnnsim.Cost, op *s
 	if ws > st.FwdWorkingSet {
 		st.FwdWorkingSet = ws
 	}
-}
-
-// fwdCost computes the forward kernel cost of a layer.
-func (e *runtime) fwdCost(l *dnn.Layer, algos LayerAlgos) cudnnsim.Cost {
-	return fwdKernelCost(e.cfg.Spec, e.net.DType, l, algos)
 }
 
 // fwdKernelCost is the forward kernel cost model, also consulted by the

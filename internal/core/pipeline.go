@@ -97,7 +97,7 @@ func allowedCuts(net *dnn.Network) (allowed []bool, crossing []*dnn.Tensor) {
 	n := len(net.Layers)
 	allowed = make([]bool, n)
 	crossing = make([]*dnn.Tensor, n+1)
-	gradInfos := dnn.GradientInfos(net)
+	gradInfos := dnn.GradientInfosByID(net)
 	for i := 1; i < n; i++ {
 		var cross *dnn.Tensor
 		count := 0
@@ -125,7 +125,7 @@ func allowedCuts(net *dnn.Network) (allowed []bool, crossing []*dnn.Tensor) {
 		if inputLive || count != 1 {
 			continue
 		}
-		if dnn.GradRoot(cross) != cross || gradInfos[cross] == nil {
+		if dnn.GradRoot(cross) != cross || gradInfos[cross.ID] == nil {
 			continue
 		}
 		allowed[i] = true
@@ -291,35 +291,42 @@ func (g *grid) stepPipeline() error {
 func sendActivation(src, dst *runtime, b stageBoundary, mb int) error {
 	d := src.net.DType
 	t := b.t
-	bs := src.buf[t]
+	bs := src.buf[t.ID]
 	if bs.block == nil {
 		return fmt.Errorf("core: boundary fm%d not resident at send (mb %d)", t.ID, mb)
 	}
 	raw := src.mbShare(t.Bytes(d))
 	wire := raw
 	dep := bs.lastWrite
-	label := "fm" + strconv.Itoa(t.ID) + ".mb" + strconv.Itoa(mb)
+	lb := src.sendLabels(mb)
+	if lb.actSend.xfer == "" {
+		stem := src.labels.Tensors[t.ID].FM + ".mb" + strconv.Itoa(mb)
+		lb.actSend.xfer, lb.actRecv.xfer = "PPS:"+stem, "PPR:"+stem
+	}
 	var cost compress.Cost
 	if b.compressed {
 		cost = b.codec.codec.Cost(raw, d.Size(), b.codec.sparsity, src.cfg.Spec.EffDRAMBps())
 		if cost.WireBytes < raw {
 			wire = cost.WireBytes
-			dep = src.dev.Compress("CMP:PPS:"+label, cost.Compress, raw, dep)
+			if lb.actSend.codec == "" {
+				lb.actSend.codec = "CMP:" + lb.actSend.xfer
+			}
+			dep = src.dev.Compress(lb.actSend.codec, cost.Compress, raw, dep)
 			src.compressTime += cost.Compress
 		}
 	}
-	send := src.dev.StageSend("PPS:"+label, wire, src.arSend, dep)
-	recv := dst.dev.StageRecv("PPR:"+label, wire, dst.arRecv, send)
+	send := src.dev.StageSend(lb.actSend.xfer, wire, src.arSend, dep)
+	recv := dst.dev.StageRecv(lb.actRecv.xfer, wire, dst.arRecv, send)
 	last := recv
 	if wire < raw {
-		last = dst.dev.Decompress("DEC:PPR:"+label, cost.Decompress, raw, recv)
+		last = dst.dev.Decompress(prefetchCodecLabel(&lb.actRecv), cost.Decompress, raw, recv)
 		dst.decompressTime += cost.Decompress
 	}
-	blk, err := dst.alloc(raw, memalloc.KindFeatureMap, "fm"+strconv.Itoa(t.ID))
+	blk, err := dst.alloc(raw, memalloc.KindFeatureMap, dst.labels.Tensors[t.ID].FM)
 	if err != nil {
 		return err
 	}
-	st := dst.mbBufs[mb][t]
+	st := dst.mbBufs[mb][t.ID]
 	st.block = blk
 	st.offloaded = false
 	st.lastWrite = last
@@ -338,10 +345,10 @@ func installBoundaryGrad(rt *runtime, b stageBoundary, recv *sim.Op) error {
 	if recv == nil {
 		return fmt.Errorf("core: boundary gradient for fm%d missing", b.t.ID)
 	}
-	bs := rt.buf[b.t]
+	bs := rt.buf[b.t.ID]
 	if bs.gradBlock == nil {
-		gi := rt.gradInfos[b.t]
-		blk, err := rt.alloc(rt.mbShare(gi.Bytes), memalloc.KindGradMap, "grad"+strconv.Itoa(b.t.ID))
+		gi := rt.gradInfos[b.t.ID]
+		blk, err := rt.alloc(rt.mbShare(gi.Bytes), memalloc.KindGradMap, rt.labels.Tensors[b.t.ID].Grad)
 		if err != nil {
 			return err
 		}
@@ -360,11 +367,15 @@ func installBoundaryGrad(rt *runtime, b stageBoundary, recv *sim.Op) error {
 // the gradient and of the boundary-in activation are released.
 func sendGradient(src, dst *runtime, b stageBoundary, mb int) *sim.Op {
 	t := b.t
-	raw := src.mbShare(src.gradInfos[t].Bytes)
-	label := "grad" + strconv.Itoa(t.ID) + ".mb" + strconv.Itoa(mb)
-	send := src.dev.StageSend("PPS:"+label, raw, src.arSend, src.dev.StreamCompute.Last())
-	recv := dst.dev.StageRecv("PPR:"+label, raw, dst.arRecv, send)
-	bs := src.buf[t]
+	raw := src.mbShare(src.gradInfos[t.ID].Bytes)
+	lb := src.sendLabels(mb)
+	if lb.gradSend == "" {
+		stem := src.labels.Tensors[t.ID].Grad + ".mb" + strconv.Itoa(mb)
+		lb.gradSend, lb.gradRecv = "PPS:"+stem, "PPR:"+stem
+	}
+	send := src.dev.StageSend(lb.gradSend, raw, src.arSend, src.dev.StreamCompute.Last())
+	recv := dst.dev.StageRecv(lb.gradRecv, raw, dst.arRecv, send)
+	bs := src.buf[t.ID]
 	if bs.gradBlock != nil && !bs.gradPersist {
 		src.pool.Free(bs.gradBlock, send.End)
 		bs.gradBlock = nil

@@ -80,7 +80,7 @@ type runtime struct {
 	// feature maps, classifier memory, the input batch) is shared.
 	mbCount int
 	mbIndex int
-	mbBufs  []map[*dnn.Tensor]*bufState
+	mbBufs  [][]*bufState
 	mbLay   [][]*layerState
 
 	// bwdExtraDep, when set, is added to every backward kernel issued — the
@@ -89,9 +89,24 @@ type runtime struct {
 	// outside pipeline runs.
 	bwdExtraDep *sim.Op
 
-	// fwdDeps is issueForward's scratch for a kernel's input dependencies,
-	// reused across layers: the timeline copies deps into the op it issues.
-	fwdDeps []*sim.Op
+	// Scratch slices reused across layers: fwdDeps and bwdDeps for a
+	// kernel's dependencies (the timeline copies deps into the op it
+	// issues), bwdOps for a layer's backward kernels, and offOps/offBufs
+	// for the offloads a forward pass leaves pending until its finish.
+	fwdDeps, bwdDeps []*sim.Op
+	bwdOps           []kernelOp
+	offOps           []*sim.Op
+	offBufs          []*dnn.Tensor
+
+	// The network's labels, the per-run constant table (consts.go) by
+	// layer ID, and the inter-stage transfer labels by micro-batch.
+	labels   *dnn.Labels
+	lc       []layerConsts
+	stageLbl []stageLabels
+
+	// codecs is the plan's per-buffer codec decisions indexed by tensor ID
+	// (the zero decision is CodecNone); nil when nothing compresses.
+	codecs []codecDecision
 
 	// Inter-stage wire traffic counters (pipeline parallelism): bytes this
 	// stage sent to its successor and received from its neighbors, wire and
@@ -110,15 +125,16 @@ type runtime struct {
 	arSend *sim.Stream
 	arRecv *sim.Stream
 
-	gradInfos map[*dnn.Tensor]*dnn.GradInfo
+	gradInfos []*dnn.GradInfo // by root tensor ID; shared, read-only
 	freeAtBwd [][]*dnn.Tensor // buffers released after each layer's backward
 
-	buf map[*dnn.Tensor]*bufState
+	buf []*bufState // by tensor ID
 	lay []*layerState
 
-	// Weight-offloading extension (Config.OffloadWeights): per-layer weight
-	// buffer state and the JIT prefetch schedule for weights.
-	wState      map[*dnn.Layer]*bufState
+	// Per-layer weight buffer state, by layer ID (nil for layers without
+	// pool-side weights), and the weight-offloading extension's
+	// (Config.OffloadWeights) JIT prefetch schedule for weights.
+	wState      []*bufState
 	wPrefetchAt [][]*dnn.Layer
 
 	sharedWS *memalloc.Block // baseline: single reused workspace
@@ -166,18 +182,27 @@ func newRuntime(net *dnn.Network, cfg Config, plan *Plan, dev *gpu.Device, lo, h
 		host:      hostmem.New(cfg.HostBytes),
 		arSend:    dev.TL.NewStream("stream_ar_send"),
 		arRecv:    dev.TL.NewStream("stream_ar_recv"),
-		gradInfos: dnn.GradientInfos(net),
+		gradInfos: dnn.GradientInfosByID(net),
 		freeAtBwd: make([][]*dnn.Tensor, len(net.Layers)),
-		buf:       make(map[*dnn.Tensor]*bufState, len(net.Tensors)),
+		buf:       make([]*bufState, len(net.Tensors)),
 		lay:       make([]*layerState, len(net.Layers)),
+		wState:    make([]*bufState, len(net.Layers)),
+		labels:    dnn.NetworkLabels(net),
+		lc:        make([]layerConsts, len(net.Layers)),
 		chosenAlg: make([]LayerAlgos, len(net.Layers)),
 	}
 	// One arena allocation backs all per-tensor and per-layer state, instead
 	// of an allocator round-trip per tensor — these dominate the allocation
 	// profile of a sweep (one runtime per sweep point).
 	bufArena := make([]bufState, len(net.Tensors))
-	for i, t := range net.Tensors {
-		e.buf[t] = &bufArena[i]
+	for i := range e.buf {
+		e.buf[i] = &bufArena[i]
+	}
+	if plan.Compression != nil {
+		e.codecs = make([]codecDecision, len(net.Tensors))
+		for t, d := range plan.Compression {
+			e.codecs[t.ID] = d
+		}
 	}
 	layArena := make([]layerState, len(e.lay))
 	for i := range e.lay {
@@ -193,7 +218,6 @@ func newRuntime(net *dnn.Network, cfg Config, plan *Plan, dev *gpu.Device, lo, h
 			e.freeAtBwd[l.ID] = append(e.freeAtBwd[l.ID], t)
 		}
 	}
-	e.wState = map[*dnn.Layer]*bufState{}
 	e.wPrefetchAt = make([][]*dnn.Layer, len(net.Layers))
 	if e.offloadsWeights() {
 		for _, l := range net.FeatureLayers() {
@@ -225,27 +249,34 @@ func newRuntime(net *dnn.Network, cfg Config, plan *Plan, dev *gpu.Device, lo, h
 	} else {
 		e.pool = memalloc.New(capacity)
 	}
+	// Presize the pool's records from the run's shape: a vDNN run makes up
+	// to 3.4 pool allocations per owned layer, iteration and micro-batch (2
+	// on average), the baseline, whose buffers are network-wide, under 1.
+	perLayer := 3.5
+	if plan.Baseline {
+		perLayer = 1
+	}
+	e.pool.Reserve(int(perLayer * float64((hi-lo)*cfg.Iterations*mbCount)))
 	if err := e.setup(); err != nil {
 		return nil, err
 	}
 
-	// Per-micro-batch buffer and layer-flag views. Index 0 is the map the
+	// Per-micro-batch buffer and layer-flag views. Index 0 is the view the
 	// persistent setup above populated; further micro-batches share the
 	// persistent states (weights, baseline/classifier buffers, gradient
 	// slots, the input batch) and get fresh states for everything the vDNN
 	// runtime manages dynamically.
-	e.mbBufs = make([]map[*dnn.Tensor]*bufState, e.mbCount)
+	e.mbBufs = make([][]*bufState, e.mbCount)
 	e.mbLay = make([][]*layerState, e.mbCount)
 	e.mbBufs[0], e.mbLay[0] = e.buf, e.lay
 	for mb := 1; mb < e.mbCount; mb++ {
-		bufs := make(map[*dnn.Tensor]*bufState, len(net.Tensors))
-		mbBufArena := make([]bufState, 0, len(net.Tensors))
-		for t, st := range e.mbBufs[0] {
+		bufs := make([]*bufState, len(net.Tensors))
+		mbBufArena := make([]bufState, len(net.Tensors))
+		for id, st := range e.mbBufs[0] {
 			if st.persist || st.gradPersist {
-				bufs[t] = st
+				bufs[id] = st
 			} else {
-				mbBufArena = append(mbBufArena, bufState{})
-				bufs[t] = &mbBufArena[len(mbBufArena)-1]
+				bufs[id] = &mbBufArena[id]
 			}
 		}
 		lay := make([]*layerState, len(net.Layers))
@@ -358,6 +389,7 @@ func isClassifierRoot(t *dnn.Tensor) bool {
 // masks, classifier activations, and classifier gradient maps.
 func (e *runtime) setupFramework() error {
 	d := e.net.DType
+	lb := e.labels
 	allocFW := func(size int64, kind memalloc.Kind, label string) (*memalloc.Block, error) {
 		b, err := e.fw.Alloc(0, size, kind, label)
 		if err != nil {
@@ -370,15 +402,15 @@ func (e *runtime) setupFramework() error {
 			continue
 		}
 		if w := l.WeightBytes(d); w > 0 {
-			if _, err := allocFW(w, memalloc.KindWeights, l.Name+".W"); err != nil {
+			if _, err := allocFW(w, memalloc.KindWeights, lb.Layers[l.ID].Weights); err != nil {
 				return err
 			}
-			if _, err := allocFW(w, memalloc.KindWeightGrad, l.Name+".dW"); err != nil {
+			if _, err := allocFW(w, memalloc.KindWeightGrad, lb.Layers[l.ID].WeightGrads); err != nil {
 				return err
 			}
 		}
 		if m := l.MaskBytes(d); m > 0 {
-			if _, err := allocFW(m, memalloc.KindOther, l.Name+".mask"); err != nil {
+			if _, err := allocFW(m, memalloc.KindOther, lb.Layers[l.ID].Mask); err != nil {
 				return err
 			}
 		}
@@ -387,24 +419,24 @@ func (e *runtime) setupFramework() error {
 		if !isClassifierRoot(t) || !e.ownsTensor(t) {
 			continue
 		}
-		b, err := allocFW(t.Bytes(d), memalloc.KindFeatureMap, "fm"+strconv.Itoa(t.ID))
+		b, err := allocFW(t.Bytes(d), memalloc.KindFeatureMap, lb.Tensors[t.ID].FM)
 		if err != nil {
 			return err
 		}
-		st := e.buf[t]
+		st := e.buf[t.ID]
 		st.block = b
 		st.persist = true
 	}
-	for root, gi := range e.gradInfos {
-		if !isClassifierRoot(root) || !e.ownsTensor(root) {
+	for id, gi := range e.gradInfos {
+		if gi == nil || !isClassifierRoot(gi.Root) || !e.ownsTensor(gi.Root) {
 			continue
 		}
-		b, err := allocFW(gi.Bytes, memalloc.KindGradMap, "grad"+strconv.Itoa(root.ID))
+		b, err := allocFW(gi.Bytes, memalloc.KindGradMap, lb.Tensors[id].Grad)
 		if err != nil {
 			return err
 		}
-		e.buf[root].gradBlock = b
-		e.buf[root].gradPersist = true
+		e.buf[id].gradBlock = b
+		e.buf[id].gradPersist = true
 	}
 	return nil
 }
@@ -425,12 +457,12 @@ func (e *runtime) setup() error {
 			continue
 		}
 		if w := l.WeightBytes(d); w > 0 {
-			wb, err := e.alloc(w, memalloc.KindWeights, l.Name+".W")
+			wb, err := e.alloc(w, memalloc.KindWeights, e.labels.Layers[l.ID].Weights)
 			if err != nil {
 				return err
 			}
-			e.wState[l] = &bufState{block: wb, persist: !e.offloadsWeights()}
-			if _, err := e.alloc(w, memalloc.KindWeightGrad, l.Name+".dW"); err != nil {
+			e.wState[l.ID] = &bufState{block: wb, persist: !e.offloadsWeights()}
+			if _, err := e.alloc(w, memalloc.KindWeightGrad, e.labels.Layers[l.ID].WeightGrads); err != nil {
 				return err
 			}
 		}
@@ -445,11 +477,11 @@ func (e *runtime) setup() error {
 		if isClassifierRoot(t) || !e.ownsTensor(t) {
 			continue // framework memory, or another stage's buffer
 		}
-		b, err := e.alloc(t.Bytes(d), memalloc.KindFeatureMap, "fm"+strconv.Itoa(t.ID))
+		b, err := e.alloc(t.Bytes(d), memalloc.KindFeatureMap, e.labels.Tensors[t.ID].FM)
 		if err != nil {
 			return err
 		}
-		st := e.buf[t]
+		st := e.buf[t.ID]
 		st.block = b
 		st.persist = true
 	}
@@ -470,8 +502,8 @@ func (e *runtime) setup() error {
 		slots[i] = b
 	}
 	for root, s := range gplan.SlotOf {
-		e.buf[root].gradBlock = slots[s]
-		e.buf[root].gradPersist = true
+		e.buf[root.ID].gradBlock = slots[s]
+		e.buf[root.ID].gradPersist = true
 	}
 
 	// Single workspace sized to the maximum need across the network.
@@ -551,18 +583,18 @@ func sumInputBytes(l *dnn.Layer, d tensor.DType) int64 {
 // managed buffer and gradient must be back in the pool.
 func (e *runtime) checkIterationEnd() error {
 	for _, bufs := range e.mbBufs {
-		for t, st := range bufs {
-			if !st.persist && st.block != nil && t != e.net.Input {
-				return fmt.Errorf("core: buffer fm%d leaked past iteration end", t.ID)
+		for id, st := range bufs {
+			if !st.persist && st.block != nil && id != e.net.Input.ID {
+				return fmt.Errorf("core: buffer fm%d leaked past iteration end", id)
 			}
 			if st.gradBlock != nil && !st.gradPersist {
-				return fmt.Errorf("core: gradient of fm%d leaked past iteration end", t.ID)
+				return fmt.Errorf("core: gradient of fm%d leaked past iteration end", id)
 			}
 		}
 	}
-	for l, ws := range e.wState {
-		if ws.block == nil {
-			return fmt.Errorf("core: weights of %s not resident at iteration end", l.Name)
+	for id, ws := range e.wState {
+		if ws != nil && ws.block == nil {
+			return fmt.Errorf("core: weights of %s not resident at iteration end", e.net.Layers[id].Name)
 		}
 	}
 	return nil
@@ -593,11 +625,11 @@ func (e *runtime) pickAlgos(l *dnn.Layer) LayerAlgos {
 // offloaded feature map. cudaMallocHost is expensive, so the cost is charged
 // once (first iteration) and the region reused for the rest of training.
 func (e *runtime) ensurePinned(t *dnn.Tensor) error {
-	st := e.buf[t]
+	st := e.buf[t.ID]
 	if st.pinned != nil {
 		return nil
 	}
-	r, cost, err := e.host.AllocPinned(e.mbShare(t.Bytes(e.net.DType)), "pin-fm"+strconv.Itoa(t.ID))
+	r, cost, err := e.host.AllocPinned(e.mbShare(t.Bytes(e.net.DType)), e.labels.Tensors[t.ID].Pin)
 	if err != nil {
 		return err
 	}

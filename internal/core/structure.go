@@ -108,6 +108,7 @@ func BuildStructure(ctx context.Context, net *dnn.Network, cfg Config) (*Structu
 	if err != nil {
 		return nil, err
 	}
+	tr.Trim() // the structure keeps it: hold exactly the recorded calls
 	return &Structure{Res: res, trace: tr}, nil
 }
 

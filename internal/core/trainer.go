@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"strconv"
 
 	"vdnn/internal/cudnnsim"
 	"vdnn/internal/dnn"
@@ -252,7 +253,7 @@ func (g *grid) stepLockstep() error {
 // network-wide; vDNN allocates it per iteration (per micro-batch under
 // pipeline parallelism — each micro-batch feeds its own input slice).
 func (e *runtime) beginIteration() error {
-	in := e.buf[e.net.Input]
+	in := e.buf[e.net.Input.ID]
 	if in.block == nil {
 		b, err := e.alloc(e.mbShare(e.net.Input.Bytes(e.net.DType)), memalloc.KindFeatureMap, "input")
 		if err != nil {
@@ -279,14 +280,15 @@ func (e *runtime) weightUpdate(syncDep *sim.Op) error {
 		if w := l.WeightBytes(e.net.DType); w > 0 {
 			c := cudnnsim.ElementwiseCost(e.cfg.Spec, w, 3)
 			var dep *sim.Op
-			if ws := e.wState[l]; ws != nil {
+			ws := e.wState[l.ID]
+			if ws != nil {
 				if ws.block == nil {
 					return fmt.Errorf("core: weights of %s not resident at update", l.Name)
 				}
 				dep = ws.lastWrite
 			}
-			op := e.dev.Kernel("sgd:"+l.Name, c.Dur, c.Flops, c.DRAMBytes, dep, syncDep)
-			if ws := e.wState[l]; ws != nil {
+			op := e.dev.Kernel(e.labels.Layers[l.ID].Update, c.Dur, c.Flops, c.DRAMBytes, dep, syncDep)
+			if ws != nil {
 				ws.lastWrite = op
 			}
 		}
@@ -323,6 +325,8 @@ func allReduce(reps []*runtime) []*sim.Op {
 	}
 	chunk := (gradBytes + int64(n) - 1) / int64(n)
 	for phase := 0; phase < 2*(n-1); phase++ {
+		p := strconv.Itoa(phase)
+		sendLabel, recvLabel := "AR-send:p"+p, "AR-recv:p"+p
 		send := make([]*sim.Op, n)
 		for i, r := range reps {
 			// The first send waits for the replica's gradients (everything
@@ -332,11 +336,11 @@ func allReduce(reps []*runtime) []*sim.Op {
 			if dep == nil {
 				dep = r.dev.StreamCompute.Last()
 			}
-			send[i] = r.dev.PeerSend(fmt.Sprintf("AR-send:p%d", phase), chunk, r.arSend, dep)
+			send[i] = r.dev.PeerSend(sendLabel, chunk, r.arSend, dep)
 		}
 		for i, r := range reps {
 			peer := send[(i-1+n)%n]
-			recv[i] = r.dev.PeerRecv(fmt.Sprintf("AR-recv:p%d", phase), chunk, r.arRecv, peer)
+			recv[i] = r.dev.PeerRecv(recvLabel, chunk, r.arRecv, peer)
 		}
 	}
 	return recv

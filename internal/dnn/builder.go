@@ -265,7 +265,9 @@ func (b *Builder) Finalize() (*Network, error) {
 		Input:   b.input,
 		derived: new(derived),
 	}
-	if err := n.Validate(); err != nil {
+	// The uncached check: a verdict stored now would outlive any later
+	// (contract-breaking) edit of the network.
+	if err := n.validate(); err != nil {
 		return nil, err
 	}
 	return n, nil

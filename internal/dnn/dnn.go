@@ -182,8 +182,8 @@ func (l *Layer) ConvGeom(d tensor.DType) cudnnsim.ConvGeom {
 
 // Network is a validated, immutable network description, made by a Builder
 // (or WithDType). Its identity is its structure (Identity), and its derived
-// analyses (GradientInfos, LastBwdReaders) are computed once, on first use,
-// and stored with it.
+// analyses (Validate's verdict, GradientInfos, LastBwdReaders,
+// NetworkLabels) are computed once, on first use, and stored with it.
 type Network struct {
 	Name  string
 	Batch int
@@ -203,11 +203,18 @@ type derived struct {
 	fingerprint string
 	digest      [sha256.Size]byte
 
+	validOnce sync.Once
+	validErr  error
+
 	gradOnce  sync.Once
 	gradInfos map[*Tensor]*GradInfo
+	gradByID  []*GradInfo
 
 	bwdOnce sync.Once
 	lastBwd map[*Tensor]*Layer
+
+	labelsOnce sync.Once
+	labels     *Labels
 }
 
 // WithDType returns a shallow copy of the network using a different element
@@ -297,12 +304,34 @@ func (n *Network) FeatureMapBytes() int64 {
 	return b
 }
 
-// Validate checks the structural invariants the executors rely on.
+// Validate checks the structural invariants the executors rely on. The
+// verdict is computed once, on first call, and stored with the network:
+// every later call returns the same error (or nil).
 func (n *Network) Validate() error {
+	d := n.derived
+	d.validOnce.Do(func() { d.validErr = n.validate() })
+	return d.validErr
+}
+
+// validate is the uncached check behind Validate. Tensors are tracked by
+// ID, which the first loop proves indexes n.Tensors.
+func (n *Network) validate() error {
 	if len(n.Layers) == 0 {
 		return fmt.Errorf("dnn: %s has no layers", n.Name)
 	}
-	seen := map[*Tensor]bool{n.Input: true}
+	for i, t := range n.Tensors {
+		if t.ID != i {
+			return fmt.Errorf("dnn: tensor %d at position %d", t.ID, i)
+		}
+	}
+	// member reports whether t is one of the network's tensors, so its ID
+	// indexes seen.
+	member := func(t *Tensor) bool { return t != nil && t.ID >= 0 && t.ID < len(n.Tensors) && n.Tensors[t.ID] == t }
+	if !member(n.Input) {
+		return fmt.Errorf("dnn: %s input is not one of its tensors", n.Name)
+	}
+	seen := make([]bool, len(n.Tensors))
+	seen[n.Input.ID] = true
 	for i, l := range n.Layers {
 		if l.ID != i {
 			return fmt.Errorf("dnn: layer %q has ID %d at position %d", l.Name, l.ID, i)
@@ -311,18 +340,21 @@ func (n *Network) Validate() error {
 			return fmt.Errorf("dnn: layer %q has no inputs", l.Name)
 		}
 		for _, in := range l.Inputs {
-			if !seen[in] {
+			if !member(in) || !seen[in.ID] {
 				return fmt.Errorf("dnn: layer %q consumes tensor %d before production", l.Name, in.ID)
 			}
 		}
 		if l.Output == nil {
 			return fmt.Errorf("dnn: layer %q has no output", l.Name)
 		}
-		seen[l.Output] = true
+		if !member(l.Output) {
+			return fmt.Errorf("dnn: layer %q writes tensor %d, not one of the network's", l.Name, l.Output.ID)
+		}
+		seen[l.Output.ID] = true
 		if l.InPlace && l.Output != l.Inputs[0] {
 			return fmt.Errorf("dnn: in-place layer %q with distinct output", l.Name)
 		}
-		if !l.InPlace && seen[l.Output] && l.Output.Producer != l {
+		if !l.InPlace && l.Output.Producer != l {
 			return fmt.Errorf("dnn: layer %q writes tensor %d owned by %q", l.Name, l.Output.ID, l.Output.Producer.Name)
 		}
 	}

@@ -213,6 +213,42 @@ func TestValidateCatchesCycleish(t *testing.T) {
 	}
 }
 
+// TestValidateVerdictStored checks that Validate's verdict is computed once
+// and stored with the network: a malformed network reports the same error
+// on every call, and a built network's first call still checks it (the
+// builder's own check stores nothing).
+func TestValidateVerdictStored(t *testing.T) {
+	b := NewBuilder("bad", 2, tensor.Float32)
+	x := b.Input(3, 8, 8)
+	b.Conv(x, "conv1", 4, 3, 1, 1)
+	n, err := b.Finalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Layers[0].Inputs = []*Tensor{n.Layers[0].Output}
+	first := n.Validate()
+	if first == nil || !strings.Contains(first.Error(), "before production") {
+		t.Fatalf("Validate = %v, want consume-before-produce", first)
+	}
+	for i := 0; i < 3; i++ {
+		if err := n.Validate(); err != first {
+			t.Fatalf("call %d: Validate = %v, want the stored %v", i+2, err, first)
+		}
+	}
+	// A tensor that is not the network's own, though its ID is in range.
+	b2 := NewBuilder("alien", 2, tensor.Float32)
+	y := b2.Input(3, 8, 8)
+	b2.Conv(y, "conv1", 4, 3, 1, 1)
+	m, err := b2.Finalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Layers[0].Inputs = []*Tensor{{ID: 0, Shape: y.Shape}}
+	if err := m.Validate(); err == nil || err != m.Validate() {
+		t.Fatalf("Validate = %v, want a stored consume-before-produce error", err)
+	}
+}
+
 func TestBuilderErrors(t *testing.T) {
 	b := NewBuilder("bad", 2, tensor.Float32)
 	x := b.Input(3, 8, 8)

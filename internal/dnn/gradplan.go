@@ -56,9 +56,30 @@ func GradRoot(t *Tensor) *Tensor {
 // caller's to reshape (a fresh clone each call), but the *GradInfo values
 // are shared and must not be mutated.
 func GradientInfos(n *Network) map[*Tensor]*GradInfo {
+	return maps.Clone(gradientInfos(n))
+}
+
+// GradientInfosByID is GradientInfos indexed by tensor ID: entry i is the
+// gradient of tensor i when that tensor is an aliasing root, nil otherwise.
+// The slice is computed once per network and shared between callers: read
+// it, do not mutate it.
+func GradientInfosByID(n *Network) []*GradInfo {
+	gradientInfos(n)
+	return n.derived.gradByID
+}
+
+// gradientInfos returns the network's shared gradient analysis, computing
+// it on first use.
+func gradientInfos(n *Network) map[*Tensor]*GradInfo {
 	d := n.derived
-	d.gradOnce.Do(func() { d.gradInfos = computeGradientInfos(n) })
-	return maps.Clone(d.gradInfos)
+	d.gradOnce.Do(func() {
+		d.gradInfos = computeGradientInfos(n)
+		d.gradByID = make([]*GradInfo, len(n.Tensors))
+		for root, gi := range d.gradInfos {
+			d.gradByID[root.ID] = gi
+		}
+	})
+	return d.gradInfos
 }
 
 // computeGradientInfos is the uncached liveness analysis behind

@@ -15,11 +15,18 @@
 // pool records a complete usage timeline from which peak usage,
 // time-weighted average usage, and the per-kind breakdown that the paper's
 // Figure 4 plots are all derived.
+//
+// Each successful allocation's label is stored once, in a table indexed by
+// the block's sequence number; blocks, the usage timeline and the recorded
+// trace carry that number instead of the string, so none of them holds a
+// pointer the garbage collector must scan. A traced pool shares its table
+// with the Trace.
 package memalloc
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"vdnn/internal/sim"
 )
@@ -56,13 +63,13 @@ func Kinds() []Kind {
 	return ks
 }
 
-// Block is a live allocation.
+// Block is a live allocation. Its label is in the pool's label table, at
+// index seq.
 type Block struct {
 	Addr, Size int64
 	Kind       Kind
-	Label      string
+	seq        int32 // allocation sequence number: the label's index
 	freed      bool
-	seq        int32 // registration index in the pool's trace, if recording
 }
 
 // OOMError reports an allocation failure: the request, what was in use, and
@@ -137,12 +144,13 @@ func (h *freeHeap) pop() pendingFree {
 	return x
 }
 
-// usageEvent is one step in the usage timeline.
+// usageEvent is one step in the usage timeline: seq names the block, and
+// through it the label.
 type usageEvent struct {
 	t     sim.Time
 	delta int64
-	kind  Kind
-	label string
+	seq   int32
+	kind  uint8
 }
 
 // bigBlockThreshold separates the two allocation arenas: feature maps at
@@ -180,11 +188,15 @@ type Pool struct {
 	peakTime   sim.Time
 	peakByKind [numKinds]int64
 
+	// labels holds the label of every successful allocation, indexed by
+	// Block.seq; a traced pool's is its Trace's. It is nil on a replay
+	// pool, which keeps neither labels nor a usage timeline: its only
+	// output is the success/failure verdict.
+	labels *[]string
+
 	// trace, when non-nil, records every Alloc/Free/Flush for differential
-	// replay (see trace.go). metricsOff suppresses the usage timeline for
-	// replay pools, whose only output is the success/failure verdict.
-	trace      *Trace
-	metricsOff bool
+	// replay (see trace.go).
+	trace *Trace
 
 	// blockArena batches Block allocations in chunks. A full chunk is simply
 	// replaced — outstanding *Block pointers keep the old chunk alive.
@@ -193,17 +205,25 @@ type Pool struct {
 
 const blockArenaChunk = 128
 
-func (p *Pool) newBlock(addr, size int64, kind Kind, label string) *Block {
+func (p *Pool) newBlock(addr, size int64, kind Kind) *Block {
 	if len(p.blockArena) == cap(p.blockArena) {
 		p.blockArena = make([]Block, 0, blockArenaChunk)
 	}
-	p.blockArena = append(p.blockArena, Block{Addr: addr, Size: size, Kind: kind, Label: label})
+	p.blockArena = append(p.blockArena, Block{Addr: addr, Size: size, Kind: kind})
 	return &p.blockArena[len(p.blockArena)-1]
 }
 
 // New creates a pool of the given capacity. Allocations are rounded up to
 // 512-byte alignment, cnmem's granularity.
 func New(capacity int64) *Pool {
+	p := newPool(capacity)
+	p.labels = new([]string)
+	return p
+}
+
+// newPool creates a pool that keeps no records: a replay pool, unless the
+// caller gives it a label table.
+func newPool(capacity int64) *Pool {
 	if capacity <= 0 {
 		panic("memalloc: non-positive capacity")
 	}
@@ -216,6 +236,22 @@ func New(capacity int64) *Pool {
 	p.free.Insert(0, capacity)
 	return p
 }
+
+// Reserve presizes the pool's records — label table, usage timeline and
+// trace — for about allocs more allocations, each eventually freed. It is a
+// hint: the records grow past it as needed.
+func (p *Pool) Reserve(allocs int) {
+	if p.labels != nil {
+		*p.labels = slices.Grow(*p.labels, allocs)
+		p.events = slices.Grow(p.events, 2*allocs)
+	}
+	if p.trace != nil {
+		p.trace.ops = slices.Grow(p.trace.ops, 2*allocs)
+	}
+}
+
+// label returns the label of the allocation with sequence number seq.
+func (p *Pool) label(seq int32) string { return (*p.labels)[seq] }
 
 // Capacity returns the pool size in bytes.
 func (p *Pool) Capacity() int64 { return p.capacity }
@@ -265,7 +301,7 @@ func (p *Pool) Alloc(t sim.Time, size int64, kind Kind, label string) (*Block, e
 		if cached := p.bins[n]; len(cached) > 0 {
 			sp := cached[len(cached)-1]
 			p.bins[n] = cached[:len(cached)-1]
-			b = p.newBlock(sp.addr, n, kind, label)
+			b = p.newBlock(sp.addr, n, kind)
 		}
 	}
 	for b == nil {
@@ -288,12 +324,12 @@ func (p *Pool) Alloc(t sim.Time, size int64, kind Kind, label string) (*Block, e
 		}
 		p.free.Remove(addr)
 		if big {
-			b = p.newBlock(addr+size-n, n, kind, label)
+			b = p.newBlock(addr+size-n, n, kind)
 			if size > n {
 				p.free.Insert(addr, size-n)
 			}
 		} else {
-			b = p.newBlock(addr, n, kind, label)
+			b = p.newBlock(addr, n, kind)
 			if size > n {
 				p.free.Insert(addr+n, size-n)
 			}
@@ -301,8 +337,10 @@ func (p *Pool) Alloc(t sim.Time, size int64, kind Kind, label string) (*Block, e
 	}
 	p.used += n
 	p.byKind[kind] += n
-	if !p.metricsOff {
-		p.events = append(p.events, usageEvent{t, n, kind, label})
+	if p.labels != nil {
+		b.seq = int32(len(*p.labels))
+		*p.labels = append(*p.labels, label)
+		p.events = append(p.events, usageEvent{t, n, b.seq, uint8(kind)})
 	}
 	if p.used > p.peak {
 		p.peak = p.used
@@ -310,7 +348,7 @@ func (p *Pool) Alloc(t sim.Time, size int64, kind Kind, label string) (*Block, e
 		p.peakByKind = p.byKind
 	}
 	if p.trace != nil {
-		p.trace.recordAlloc(b, t, size, kind, label)
+		p.trace.recordAlloc(t, size, kind)
 	}
 	return b, nil
 }
@@ -324,7 +362,7 @@ func (p *Pool) Free(b *Block, t sim.Time) {
 		return
 	}
 	if b.freed {
-		panic(fmt.Sprintf("memalloc: double free of %q", b.Label))
+		panic(fmt.Sprintf("memalloc: double free of %q", p.label(b.seq)))
 	}
 	b.freed = true
 	if p.trace != nil {
@@ -357,8 +395,8 @@ func (p *Pool) flushBins() bool {
 func (p *Pool) release(b *Block, t sim.Time) {
 	p.used -= b.Size
 	p.byKind[b.Kind] -= b.Size
-	if !p.metricsOff {
-		p.events = append(p.events, usageEvent{t, -b.Size, b.Kind, b.Label})
+	if p.labels != nil {
+		p.events = append(p.events, usageEvent{t, -b.Size, b.seq, uint8(b.Kind)})
 	}
 	if b.Kind == KindFeatureMap && b.Size >= bigBlockThreshold {
 		p.bins[b.Size] = append(p.bins[b.Size], span{b.Addr, b.Size})
@@ -428,14 +466,24 @@ type Stats struct {
 	PeakByKind map[Kind]int64
 }
 
+// sortEvents puts the usage timeline in time order, in place. The sort is
+// stable, so events at one time keep the order they happened in — also
+// across calls: re-sorting a stably sorted log with events appended since
+// gives the order a single sort of the whole log would.
+func (p *Pool) sortEvents() []usageEvent {
+	byTime := func(a, b usageEvent) int { return cmp.Compare(a.t, b.t) }
+	if !slices.IsSortedFunc(p.events, byTime) {
+		slices.SortStableFunc(p.events, byTime)
+	}
+	return p.events
+}
+
 // Measure integrates the usage timeline over [start, end) and returns peak
 // and time-weighted average usage over that window. Events are applied in
 // time order, which makes the result exact even when frees were scheduled
 // out of order relative to allocations.
 func (p *Pool) Measure(start, end sim.Time) Stats {
-	evs := make([]usageEvent, len(p.events))
-	copy(evs, p.events)
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].t < evs[j].t })
+	evs := p.sortEvents()
 
 	st := Stats{PeakByKind: map[Kind]int64{}}
 	var cur int64
@@ -488,17 +536,15 @@ func (p *Pool) FreeSpans() [][2]int64 {
 // SnapshotAt reconstructs the live allocation set at time t (aggregated by
 // label), a debugging aid for attributing usage peaks.
 func (p *Pool) SnapshotAt(t sim.Time) map[string]int64 {
-	evs := make([]usageEvent, len(p.events))
-	copy(evs, p.events)
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].t < evs[j].t })
 	live := map[string]int64{}
-	for _, e := range evs {
+	for _, e := range p.sortEvents() {
 		if e.t > t {
 			break
 		}
-		live[e.label] += e.delta
-		if live[e.label] == 0 {
-			delete(live, e.label)
+		label := p.label(e.seq)
+		live[label] += e.delta
+		if live[label] == 0 {
+			delete(live, label)
 		}
 	}
 	return live

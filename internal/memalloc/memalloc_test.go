@@ -3,6 +3,7 @@ package memalloc
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -363,10 +364,82 @@ func TestNonPositiveCapacityPanics(t *testing.T) {
 	New(0)
 }
 
-// TestTraceOpSize pins the recorded op at 56 bytes: the allocation's run
-// position must live in the padding after ref, not grow every trace.
+// TestRecordsFlat pins the allocator's per-allocation records — blocks, the
+// usage log and the trace — as small and pointer-free: a label is stored
+// once, in the pool's table, so the garbage collector never scans them.
+func TestRecordsFlat(t *testing.T) {
+	for _, tc := range []struct {
+		v    any
+		size uintptr
+	}{
+		{usageEvent{}, 24},
+		{traceOp{}, 24}, // see also TestTraceOpSize
+		{Block{}, 32},
+	} {
+		typ := reflect.TypeOf(tc.v)
+		if n := typ.Size(); n > tc.size {
+			t.Errorf("%v is %d bytes, want <= %d", typ, n, tc.size)
+		}
+		for i := 0; i < typ.NumField(); i++ {
+			switch f := typ.Field(i); f.Type.Kind() {
+			case reflect.Bool, reflect.Int, reflect.Int32, reflect.Int64, reflect.Uint8:
+			default:
+				t.Errorf("%v.%s is a %v: records must hold no pointers", typ, f.Name, f.Type.Kind())
+			}
+		}
+	}
+}
+
+// TestTraceOpSize pins the recorded op at 24 bytes: an allocation's block
+// sequence number is implicit in the recording order, so the run position
+// and a free's block share one field, and the label lives in the trace's
+// table.
 func TestTraceOpSize(t *testing.T) {
-	if n := unsafe.Sizeof(traceOp{}); n > 56 {
-		t.Errorf("traceOp is %d bytes, want <= 56", n)
+	if n := unsafe.Sizeof(traceOp{}); n > 24 {
+		t.Errorf("traceOp is %d bytes, want <= 24", n)
+	}
+}
+
+// TestDoubleFreePanicText pins the double-free panic, whose label the pool
+// looks up by the block's sequence number.
+func TestDoubleFreePanicText(t *testing.T) {
+	p := New(1 << 20)
+	p.Alloc(0, 512, KindWeights, "conv1.W")
+	b, _ := p.Alloc(0, 512, KindFeatureMap, "fm3")
+	p.Free(b, 0)
+	defer func() {
+		if got, want := recover(), `memalloc: double free of "fm3"`; got != want {
+			t.Fatalf("panic %v, want %q", got, want)
+		}
+	}()
+	p.Free(b, 0)
+}
+
+// TestMeasureResortsInPlace checks that measuring sorts the usage log in
+// place without changing what a later measurement sees: events appended
+// after a measurement land where a single sort of the whole log puts them.
+func TestMeasureResortsInPlace(t *testing.T) {
+	drive := func(p *Pool, from, to int) {
+		for i := from; i < to; i++ {
+			now := sim.Time(10 * i)
+			b, err := p.Alloc(now, int64(512*(1+i%3)), Kind(i%int(numKinds)), "b"+string(rune('a'+i)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.Free(b, now+sim.Time(25-i%4*10)) // out of order, and ties
+		}
+	}
+	split, whole := New(1<<20), New(1<<20)
+	drive(split, 0, 6)
+	split.Measure(0, 100)
+	drive(split, 6, 12)
+	drive(whole, 0, 12)
+	for _, w := range [][2]sim.Time{{0, 200}, {15, 95}, {40, 41}} {
+		if got, want := split.Measure(w[0], w[1]), whole.Measure(w[0], w[1]); !reflect.DeepEqual(got, want) {
+			t.Errorf("Measure%v after a re-sort = %+v, want %+v", w, got, want)
+		}
+		if got, want := split.SnapshotAt(w[1]), whole.SnapshotAt(w[1]); !reflect.DeepEqual(got, want) {
+			t.Errorf("SnapshotAt(%d) after a re-sort = %v, want %v", w[1], got, want)
+		}
 	}
 }

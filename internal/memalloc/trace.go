@@ -1,6 +1,10 @@
 package memalloc
 
-import "vdnn/internal/sim"
+import (
+	"slices"
+
+	"vdnn/internal/sim"
+)
 
 // Allocation-trace recording for differential sweep evaluation.
 //
@@ -31,29 +35,35 @@ const (
 	traceFlush
 )
 
-// traceOp is one recorded pool call. For traceAlloc, ref is the index the
-// resulting block is registered under, size is the *unrounded* request and
-// pos the position marked when it was made; for traceFree, ref names the
-// block being freed. pos fills what would otherwise be padding after ref.
+// traceOp is one recorded pool call. Allocations are numbered in recording
+// order, so an allocation's block sequence number — the index of its label
+// in the trace's table — is implicit. For traceAlloc, size is the
+// *unrounded* request and arg the position marked when it was made; for
+// traceFree, arg is the sequence number of the block being freed.
 type traceOp struct {
-	op    traceKind
-	kind  Kind
-	t     sim.Time
-	size  int64
-	ref   int32
-	pos   int32
-	label string
+	t    sim.Time
+	size int64
+	arg  int32
+	op   traceKind
+	kind uint8
 }
 
 // Trace is a recorded allocator call sequence.
 type Trace struct {
 	ops    []traceOp
-	blocks int32
-	pos    int32 // stamped on every allocation recorded from now on
+	labels []string // every recorded allocation's label, in order; the recording pool's table
+	pos    int32    // stamped on every allocation recorded from now on
 }
 
 // Len returns the number of recorded calls.
 func (tr *Trace) Len() int { return len(tr.ops) }
+
+// Trim drops the spare capacity a presized recording left behind, for a
+// trace kept to be replayed. The trace must no longer be recording.
+func (tr *Trace) Trim() {
+	tr.ops = slices.Clone(tr.ops)
+	tr.labels = slices.Clone(tr.labels)
+}
 
 // Mark sets the position recorded with every allocation that follows, until
 // the next Mark; a fresh trace is at position 0. Positions are opaque here:
@@ -65,19 +75,18 @@ func (tr *Trace) Mark(pos int32) { tr.pos = pos }
 // in call order. The recorded sequence can be replayed against a different
 // capacity with Replay.
 func NewTraced(capacity int64, tr *Trace) *Pool {
-	p := New(capacity)
+	p := newPool(capacity)
+	p.labels = &tr.labels
 	p.trace = tr
 	return p
 }
 
-func (tr *Trace) recordAlloc(b *Block, t sim.Time, size int64, kind Kind, label string) {
-	b.seq = tr.blocks
-	tr.blocks++
-	tr.ops = append(tr.ops, traceOp{op: traceAlloc, kind: kind, t: t, size: size, ref: b.seq, pos: tr.pos, label: label})
+func (tr *Trace) recordAlloc(t sim.Time, size int64, kind Kind) {
+	tr.ops = append(tr.ops, traceOp{op: traceAlloc, kind: uint8(kind), t: t, size: size, arg: tr.pos})
 }
 
 func (tr *Trace) recordFree(b *Block, t sim.Time) {
-	tr.ops = append(tr.ops, traceOp{op: traceFree, t: t, ref: b.seq})
+	tr.ops = append(tr.ops, traceOp{op: traceFree, t: t, arg: b.seq})
 }
 
 func (tr *Trace) recordFlush(t sim.Time) {
@@ -101,20 +110,19 @@ type Failure struct {
 // non-nil return is that simulation's first failing allocation, with the
 // error and free ranges its pool would have shown.
 func (tr *Trace) Replay(capacity int64) *Failure {
-	p := New(capacity)
-	p.metricsOff = true // the verdict needs no usage timeline
-	blocks := make([]*Block, tr.blocks)
+	p := newPool(capacity) // the verdict needs no labels or usage timeline
+	blocks := make([]*Block, 0, len(tr.labels))
 	for i := range tr.ops {
 		o := &tr.ops[i]
 		switch o.op {
 		case traceAlloc:
-			b, err := p.Alloc(o.t, o.size, o.kind, o.label)
+			b, err := p.Alloc(o.t, o.size, Kind(o.kind), tr.labels[len(blocks)])
 			if err != nil {
-				return &Failure{Pos: o.pos, Err: err.(*OOMError), FreeSpans: p.FreeSpans()}
+				return &Failure{Pos: o.arg, Err: err.(*OOMError), FreeSpans: p.FreeSpans()}
 			}
-			blocks[o.ref] = b
+			blocks = append(blocks, b)
 		case traceFree:
-			p.Free(blocks[o.ref], o.t)
+			p.Free(blocks[o.arg], o.t)
 		case traceFlush:
 			p.Flush(o.t)
 		}
